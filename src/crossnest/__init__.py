@@ -3,9 +3,9 @@
 The library models a rank-n signed permutation by its upper arc
 diagram, computes the crossing/nesting pair statistics and the maximal
 chain statistics, implements the two involutions that interchange them
-(an opener-rerouting map for the pair counts, a Young-filling pattern
-map for the chain sizes), and verifies the symmetric-distribution
-claims by exhaustive enumeration at small rank.
+(an opener-rerouting map for the pair counts, a growth-diagram map on
+Young fillings for the chain sizes), and verifies the
+symmetric-distribution claims by exhaustive enumeration at small rank.
 """
 
 from .core import (
@@ -42,13 +42,10 @@ from .enumeration import (
 from .errors import CrossNestError
 from .fillings import (
     PatternKind,
-    PatternOccurrence,
     YoungFilling,
-    anti_to_identity_step,
     count_avoiders,
-    find_max_pattern,
-    identity_to_anti_step,
-    interchange_patterns,
+    growth_diagram,
+    growth_involution,
     max_chain_involution,
     xi,
     xi_inverse,

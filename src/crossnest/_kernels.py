@@ -3,14 +3,9 @@
 Enumerating all 2^n * n! signed permutations of a rank and computing
 statistics for each one is the only hot loop in this package.  The
 kernels here work on int64 arc tables of shape (P, n, 2), arcs sorted
-by start within each row, and exist in two flavours:
-
-* numba-jitted loops (default when numba imports), and
-* a pure numpy / python fallback.
-
-Set CROSSNEST_PURE_NUMPY=1 before import to force the fallback; it is
-also selected automatically when numba is missing.  Both flavours stay
-importable so the benchmark and the parity tests can compare them.
+by start within each row.  The pair statistics are vectorised over arc
+pairs in numpy; the chain statistics run the DP of `statistics` row by
+row, on plain lists.
 
 The subset brute-force oracles in `statistics` are deliberately not
 accelerated; they exist to check these kernels, not to race them.
@@ -18,28 +13,9 @@ accelerated; they exist to check these kernels, not to race them.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:   # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_FLAG = os.environ.get("CROSSNEST_PURE_NUMPY", "").strip().lower()
-USE_NUMBA = HAVE_NUMBA and _FLAG not in {"1", "true", "yes"}
+from .statistics import _chain_sizes
 
 
 def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
@@ -61,7 +37,7 @@ def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
 
 # --- pair statistics: cro, nes, wex, neg ---------------------------------
 
-def pair_stats_batch_numpy(arcs: np.ndarray) -> np.ndarray:
+def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
     """(P, 4) table of (cro, nes, wex, neg), vectorised over pairs."""
     S = arcs[:, :, 0]
     E = arcs[:, :, 1]
@@ -84,174 +60,22 @@ def pair_stats_batch_numpy(arcs: np.ndarray) -> np.ndarray:
     return np.stack([cro, nes, wex, neg], axis=1).astype(np.int64)
 
 
-@njit(cache=True)
-def _pair_stats_one(starts, ends):   # pragma: no cover - jitted
-    n = starts.shape[0]
-    cro = 0
-    nes = 0
-    wex = 0
-    neg = 0
-    for i in range(n):
-        if starts[i] > 0:
-            wex += 1
-        if starts[i] < 0 and ends[i] > 0:
-            neg += 1
-        for j in range(i + 1, n):
-            v1 = ends[i]
-            u2 = starts[j]
-            v2 = ends[j]
-            if v1 == u2:
-                if u2 > 0:
-                    cro += 1
-            elif u2 < v1:
-                if v2 < v1:
-                    nes += 1
-                else:
-                    cro += 1
-    return cro, nes, wex, neg
-
-
-@njit(cache=True)
-def _pair_stats_batch_nb(arcs):   # pragma: no cover - jitted
-    p = arcs.shape[0]
-    out = np.empty((p, 4), dtype=np.int64)
-    for r in range(p):
-        cro, nes, wex, neg = _pair_stats_one(arcs[r, :, 0], arcs[r, :, 1])
-        out[r, 0] = cro
-        out[r, 1] = nes
-        out[r, 2] = wex
-        out[r, 3] = neg
-    return out
-
-
-def pair_stats_batch_numba(arcs: np.ndarray) -> np.ndarray:
-    return _pair_stats_batch_nb(np.ascontiguousarray(arcs, dtype=np.int64))
-
-
 # --- chain statistics: cro_star, nes_star --------------------------------
 
-def _chain_stats_py(starts, ends) -> tuple[int, int]:
-    """Reference loop version; also the fallback inner kernel."""
-    m = len(starts)
-    best_cross = 0
-    for f in range(m):
-        ef = ends[f]
-        for l in range(f, m):
-            sl = starts[l]
-            if sl > ef or (sl == ef and f != l and sl < 0):
-                continue
-            if f == l:
-                if best_cross < 1:
-                    best_cross = 1
-                continue
-            el = ends[l]
-            if el <= ef:
-                continue
-            window = [0] * (l - f + 1)
-            window[0] = 1
-            for g in range(f + 1, l + 1):
-                eg = ends[g]
-                if eg <= ef or eg > el:
-                    continue
-                reach = 0
-                for h in range(f, g):
-                    w = window[h - f]
-                    if w > reach and ends[h] < eg:
-                        reach = w
-                if reach:
-                    window[g - f] = reach + 1
-            if window[l - f] > best_cross:
-                best_cross = window[l - f]
-    best_nest = 0
-    depth = [1] * m
-    for j in range(m):
-        sj = starts[j]
-        ej = ends[j]
-        for i in range(j):
-            if starts[i] < sj and ej < ends[i] and depth[i] + 1 > depth[j]:
-                depth[j] = depth[i] + 1
-        if depth[j] > best_nest:
-            best_nest = depth[j]
-    return best_cross, best_nest
-
-
-def chain_stats_batch_python(arcs: np.ndarray) -> np.ndarray:
-    p = arcs.shape[0]
-    out = np.empty((p, 2), dtype=np.int64)
-    for r in range(p):
-        starts = arcs[r, :, 0].tolist()
-        ends = arcs[r, :, 1].tolist()
-        out[r] = _chain_stats_py(starts, ends)
+def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
+    """(P, 2) table of (cro_star, nes_star); rows are converted to lists
+    one at a time so the batch is never held as Python objects."""
+    out = np.empty((arcs.shape[0], 2), dtype=np.int64)
+    for r in range(arcs.shape[0]):
+        out[r] = _chain_sizes(arcs[r, :, 0].tolist(), arcs[r, :, 1].tolist())
     return out
-
-
-@njit(cache=True)
-def _chain_stats_one(starts, ends):   # pragma: no cover - jitted
-    m = starts.shape[0]
-    best_cross = 0
-    window = np.empty(m, dtype=np.int64)
-    for f in range(m):
-        ef = ends[f]
-        for l in range(f, m):
-            sl = starts[l]
-            if sl > ef or (sl == ef and f != l and sl < 0):
-                continue
-            if f == l:
-                if best_cross < 1:
-                    best_cross = 1
-                continue
-            el = ends[l]
-            if el <= ef:
-                continue
-            for g in range(l - f + 1):
-                window[g] = 0
-            window[0] = 1
-            for g in range(f + 1, l + 1):
-                eg = ends[g]
-                if eg <= ef or eg > el:
-                    continue
-                reach = 0
-                for h in range(f, g):
-                    w = window[h - f]
-                    if w > reach and ends[h] < eg:
-                        reach = w
-                if reach:
-                    window[g - f] = reach + 1
-            if window[l - f] > best_cross:
-                best_cross = window[l - f]
-    best_nest = 0
-    depth = np.ones(m, dtype=np.int64)
-    for j in range(m):
-        sj = starts[j]
-        ej = ends[j]
-        for i in range(j):
-            if starts[i] < sj and ej < ends[i] and depth[i] + 1 > depth[j]:
-                depth[j] = depth[i] + 1
-        if depth[j] > best_nest:
-            best_nest = depth[j]
-    return best_cross, best_nest
-
-
-@njit(cache=True)
-def _chain_stats_batch_nb(arcs):   # pragma: no cover - jitted
-    p = arcs.shape[0]
-    out = np.empty((p, 2), dtype=np.int64)
-    for r in range(p):
-        c, ns = _chain_stats_one(arcs[r, :, 0], arcs[r, :, 1])
-        out[r, 0] = c
-        out[r, 1] = ns
-    return out
-
-
-def chain_stats_batch_numba(arcs: np.ndarray) -> np.ndarray:
-    return _chain_stats_batch_nb(np.ascontiguousarray(arcs, dtype=np.int64))
 
 
 # --- degree keys ----------------------------------------------------------
 
 def degree_table_batch(arcs: np.ndarray) -> np.ndarray:
     """(P, 2n, 2) of per-vertex (indegree, outdegree), vertex order
-    -n..-1,1..n.  Plain numpy on both paths; this is bookkeeping."""
+    -n..-1,1..n."""
     p, n, _ = arcs.shape
     starts = arcs[:, :, 0]
     ends = arcs[:, :, 1]
@@ -264,17 +88,3 @@ def degree_table_batch(arcs: np.ndarray) -> np.ndarray:
     table[rows, slot(ends).ravel(), 0] = 1
     table[rows, slot(starts).ravel(), 1] = 1
     return table
-
-
-# selected implementations
-
-if USE_NUMBA:
-    pair_stats_batch = pair_stats_batch_numba
-    chain_stats_batch = chain_stats_batch_numba
-else:
-    pair_stats_batch = pair_stats_batch_numpy
-    chain_stats_batch = chain_stats_batch_python
-
-
-def backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"

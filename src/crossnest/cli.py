@@ -28,12 +28,12 @@ from .enumeration import (
 from .errors import (
     CrossNestError,
     Desynchronized,
-    StepBudgetExhausted,
+    InconsistentGrowth,
     UnmergeablePair,
 )
 from .fillings import (
     filling_to_text,
-    interchange_patterns,
+    growth_involution,
     max_chain_involution,
     parse_filling_text,
     xi,
@@ -46,7 +46,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-INTERNAL_ERRORS = (Desynchronized, UnmergeablePair, StepBudgetExhausted)
+INTERNAL_ERRORS = (Desynchronized, UnmergeablePair, InconsistentGrowth)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -120,8 +120,7 @@ def cmd_theta(args) -> int:
     if args.from_filling:
         with open(args.from_filling) as fh:
             f = parse_filling_text(fh.read())
-        g, _ = interchange_patterns(f)
-        _write(filling_to_text(g), args.out)
+        _write(filling_to_text(growth_involution(f)), args.out)
         return EXIT_OK
     if not args.perm:
         print("error: give a permutation or --from-filling PATH", file=sys.stderr)

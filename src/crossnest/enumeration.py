@@ -29,7 +29,7 @@ from .core import (
     upper_diagram,
     wex,
 )
-from .errors import RankTooLarge, StepBudgetExhausted
+from .errors import RankTooLarge
 from .fillings import max_chain_involution
 from .involution import crossing_nesting_involution
 from .statistics import cro, max_chain_sizes, nes
@@ -247,23 +247,14 @@ def max_crossing_witness(n: int) -> SignedPermutation:
     return SignedPermutation(tuple(i - (n + 1) for i in range(1, n + 1)))
 
 
-def max_crossing_count(n: int, method: Literal["auto", "enumeration", "constructive"] = "auto") -> int:
+def max_crossing_count(n: int) -> int:
     """Number of rank-n permutations whose largest crossing chain uses
-    every arc.  Enumeration up to the guard; beyond it the constructive
-    witness is checked and the closed-form count returned."""
-    if n < 1:
-        raise RankTooLarge("rank must be at least 1")
-    if method == "auto":
-        method = "enumeration" if n <= 6 else "constructive"
-    if method == "enumeration":
-        _check_rank(n)
-        arcs = _kernels.upper_arcs_batch(signed_values_batch(n))
-        chain = _kernels.chain_stats_batch(arcs)
-        return int((chain[:, 0] == n).sum())
-    witness = max_crossing_witness(n)
-    if max_chain_sizes(witness)[0] != n:
-        raise AssertionError(f"witness for n={n} lost its full crossing chain")
-    return 2 if n <= 2 else 1
+    every arc, by enumeration; ranks outside the guard raise RankTooLarge
+    because no count beyond it is backed by enumeration or proof."""
+    _check_rank(n)
+    arcs = _kernels.upper_arcs_batch(signed_values_batch(n))
+    chain = _kernels.chain_stats_batch(arcs)
+    return int((chain[:, 0] == n).sum())
 
 
 def verify_max_crossing_counts(n_max: int = 6) -> VerificationReport:
@@ -273,7 +264,7 @@ def verify_max_crossing_counts(n_max: int = 6) -> VerificationReport:
         values = []
         for n in range(1, n_max + 1):
             expected = 2 if n <= 2 else 1
-            actual = max_crossing_count(n, method="enumeration")
+            actual = max_crossing_count(n)
             values.append(actual)
             if actual != expected:
                 bad.append({"n": n, "expected": expected, "actual": actual})
@@ -360,15 +351,7 @@ def _involution_failures_for(p: SignedPermutation, which: Literal["pair", "chain
         if which == "pair"
         else (lambda q: max_chain_sizes(q))
     )
-    try:
-        image = apply(p)
-    except StepBudgetExhausted as exc:
-        return [{
-            "permutation": str(p),
-            "failure": "step_budget",
-            "detail": str(exc),
-            "moves": len(exc.trace),
-        }]
+    image = apply(p)
     before, after = stats(p), stats(image)
     if (after[0], after[1]) != (before[1], before[0]):
         failures.append({
@@ -398,14 +381,7 @@ def _involution_failures_for(p: SignedPermutation, which: Literal["pair", "chain
             "before": str(degree_sequence(p)),
             "after": str(degree_sequence(image)),
         })
-    try:
-        back = apply(image)
-    except StepBudgetExhausted as exc:
-        return failures + [{
-            "permutation": str(p),
-            "failure": "step_budget_on_image",
-            "detail": str(exc),
-        }]
+    back = apply(image)
     if back != p:
         failures.append({
             "permutation": str(p),

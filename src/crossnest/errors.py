@@ -51,10 +51,6 @@ class NotACloser(CrossNestError, ValueError):
     """The queried vertex has no incoming arc."""
 
 
-class InvalidOccurrence(CrossNestError, ValueError):
-    """A pattern occurrence is not present in the filling."""
-
-
 class CellOutsideShape(CrossNestError, ValueError):
     """A filled cell falls outside the Young shape."""
 
@@ -79,10 +75,6 @@ class Desynchronized(CrossNestError, RuntimeError):
     left-to-right rerouting scan; indicates an implementation bug."""
 
 
-class StepBudgetExhausted(CrossNestError, RuntimeError):
-    """The pattern-interchange iteration did not reach its target within
-    the step budget.  Carries the trace of moves made so far."""
-
-    def __init__(self, message, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
+class InconsistentGrowth(CrossNestError, RuntimeError):
+    """A growth-diagram corner breaks Fomin's local rules while a filling
+    is rebuilt from its border; indicates an implementation bug."""

@@ -1,5 +1,5 @@
-"""Upper diagrams as 0/1 fillings of Young shapes, and the involution
-that swaps maximal chain statistics by local moves on the filling.
+"""Upper diagrams as 0/1 fillings of Young shapes, and the growth-diagram
+involution that swaps the maximal chain statistics.
 
 Write the closers of a diagram as i_1 < ... < i_c and the openers as
 j_1 < ... < j_c (a transient or fixed vertex appears in both lists).
@@ -12,11 +12,18 @@ as an anti-identity pattern of k cells whose spanning rectangle fits in
 the shape, and a nesting chain as an identity pattern, so the maximal
 chain statistics become pattern sizes in the filling.
 
-The interchange map repeatedly takes a maximal pattern and unwinds it
-cell by cell into the opposite pattern on the same rows and columns,
-until the two maximal sizes have traded places.  Termination is not
-guaranteed in general; a step budget cuts the iteration off and the
-trace of moves is surfaced for diagnosis.
+The interchange map is Krattenthaler's growth-diagram bijection.  Corner
+(r, c) is the bottom-right corner of cell (r, c); row 0 and column 0 are
+the top and left edges.  Its label is the RSK shape of the 1s in rows
+<= r and columns <= c, and Fomin's local rules compute the labels cell
+by cell.  By Greene's theorem the first part of a label is the longest
+identity pattern in its rectangle and the number of parts the longest
+anti-identity.  A pattern obeys the rectangle condition exactly when it
+lies in the rectangle of a corner on the outer border of the shape, so
+the border labels carry both maximal sizes.  Transposing every border
+label and rebuilding the filling with the backward rules trades the two
+sizes.  The map keeps the shape and the row and column sums, and it is
+an involution by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -36,14 +43,15 @@ from .core import (
 )
 from .errors import (
     CellOutsideShape,
+    InconsistentGrowth,
     InfeasibleSums,
-    InvalidOccurrence,
     MissingDiagramLists,
     RowColumnSumViolation,
-    StepBudgetExhausted,
 )
 
-Cell = tuple[int, int]   # (row, column), 1-indexed, row 1 on top
+Cell = tuple[int, int]        # (row, column), 1-indexed, row 1 on top
+Corner = tuple[int, int]      # bottom-right corner of cell (row, column)
+Partition = tuple[int, ...]   # weakly decreasing positive parts
 
 
 class ShapeData(NamedTuple):
@@ -91,9 +99,6 @@ class YoungFilling:
         if self.openers is not None:
             if len(self.openers) != len(self.shape) or len(self.closers) != len(self.shape):
                 raise MissingDiagramLists("opener/closer lists must match the row count")
-
-    def sorted_cells(self) -> tuple[Cell, ...]:
-        return tuple(sorted(self.ones, key=lambda rc: rc[1]))
 
 
 def young_shape(d: UpperDiagram) -> ShapeData:
@@ -146,82 +151,9 @@ class PatternKind(Enum):
     ANTI_IDENTITY = "anti_identity"  # rows shrink as columns grow; crossing side
 
 
-@dataclass(frozen=True)
-class PatternOccurrence:
-    kind: PatternKind
-    cells: tuple[Cell, ...]   # sorted by column
-
-    @property
-    def k(self) -> int:
-        return len(self.cells)
-
-
-def _occurrence_ok(cells: Sequence[Cell], shape: tuple[int, ...], kind: PatternKind) -> bool:
-    cols = [c for _, c in cells]
-    rows = [r for r, _ in cells]
-    if any(c2 <= c1 for c1, c2 in zip(cols, cols[1:])):
-        return False
-    if kind is PatternKind.IDENTITY:
-        if any(r2 <= r1 for r1, r2 in zip(rows, rows[1:])):
-            return False
-        # spanning rectangle closes at the last cell, inside by assumption
-        return True
-    if any(r2 >= r1 for r1, r2 in zip(rows, rows[1:])):
-        return False
-    # deepest row and rightmost column must meet inside the shape
-    return cols[-1] <= shape[rows[0] - 1]
-
-
-def _all_occurrences(f: YoungFilling, kind: PatternKind) -> list[tuple[Cell, ...]]:
-    """Every occurrence of the pattern, as column-sorted cell tuples.
-    Fillings here carry at most one 1 per row and column, so the chain
-    count stays tiny."""
-    cells = f.sorted_cells()
-    found: list[tuple[Cell, ...]] = []
-
-    def extend(chain: list[Cell], rest: tuple[Cell, ...]):
-        found.append(tuple(chain))
-        for idx, nxt in enumerate(rest):
-            r, c = nxt
-            lr, lc = chain[-1]
-            if c <= lc:
-                continue
-            if kind is PatternKind.IDENTITY and r <= lr:
-                continue
-            if kind is PatternKind.ANTI_IDENTITY:
-                if r >= lr:
-                    continue
-                if c > f.shape[chain[0][0] - 1]:   # rectangle corner left the shape
-                    continue
-            chain.append(nxt)
-            extend(chain, rest[idx + 1:])
-            chain.pop()
-
-    for i, cell in enumerate(cells):
-        extend([cell], cells[i + 1:])
-    return found
-
-
-def find_max_pattern(f: YoungFilling, kind: PatternKind) -> PatternOccurrence:
-    """Largest occurrence; ties prefer the rightmost column set, then the
-    topmost row set, both read from the right."""
-    best: tuple[Cell, ...] | None = None
-    best_key = None
-    for occ in _all_occurrences(f, kind):
-        key = (
-            len(occ),
-            tuple(c for _, c in reversed(occ)),
-            tuple(-r for r, _ in reversed(occ)),
-        )
-        if best_key is None or key > best_key:
-            best, best_key = occ, key
-    assert best is not None   # every filling has a 1, hence a size-1 occurrence
-    return PatternOccurrence(kind, best)
-
-
 def max_pattern_size(cells: Iterable[Cell], shape: tuple[int, ...], kind: PatternKind) -> int:
-    """Size of the largest pattern among arbitrary cells; used where the
-    occurrence itself is not needed."""
+    """Size of the largest pattern among arbitrary cells, by a longest-chain
+    DP that knows nothing of growth diagrams."""
     cs = sorted(cells, key=lambda rc: (rc[1], rc[0]))
     m = len(cs)
     if m == 0:
@@ -254,157 +186,119 @@ def max_pattern_size(cells: Iterable[Cell], shape: tuple[int, ...], kind: Patter
     return best
 
 
-def _replace_cells(f: YoungFilling, old: Iterable[Cell], new: Iterable[Cell]) -> YoungFilling:
-    ones = set(f.ones)
-    for cell in old:
-        ones.remove(cell)
-    for cell in new:
-        ones.add(cell)
+# --- growth diagrams --------------------------------------------------------
+
+def _add_box(lam: Partition, row: int) -> Partition:
+    if row == len(lam):
+        return lam + (1,)
+    return lam[:row] + (lam[row] + 1,) + lam[row + 1:]
+
+
+def _remove_box(lam: Partition, row: int) -> Partition:
+    rest = (lam[row] - 1,) if lam[row] > 1 else ()
+    return lam[:row] + rest + lam[row + 1:]
+
+
+def _grown_row(small: Partition, big: Partition) -> int:
+    """Row of the box that big has over small."""
+    for row, part in enumerate(small):
+        if big[row] != part:
+            return row
+    return len(small)
+
+
+def _covers(big: Partition, small: Partition) -> bool:
+    """True when small is big or big minus one box."""
+    return (
+        len(small) <= len(big)
+        and all(s <= b for s, b in zip(small, big))
+        and sum(big) - sum(small) <= 1
+    )
+
+
+def _conjugate(lam: Partition) -> Partition:
+    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0])) if lam else ()
+
+
+def forward_rule(lam: Partition, mu: Partition, nu: Partition, filled: bool) -> Partition:
+    """Fomin's forward rule: the label of a cell's bottom-right corner from
+    its top-left (lam), top-right (mu) and bottom-left (nu) labels and its
+    entry.  A 1 adds a box to the first row; two equal growths bump the
+    box one row down."""
+    if filled:
+        return _add_box(lam, 0)
+    if mu != nu:
+        return tuple(max(a, b) for a, b in zip_longest(mu, nu, fillvalue=0))
+    if mu == lam:
+        return lam
+    return _add_box(mu, _grown_row(lam, mu) + 1)
+
+
+def backward_rule(rho: Partition, mu: Partition, nu: Partition) -> tuple[Partition, bool]:
+    """Inverse of forward_rule: the top-left label and the cell's entry
+    from the bottom-right (rho), top-right (mu) and bottom-left (nu)
+    labels.  Raises InconsistentGrowth when mu or nu is not rho or rho
+    minus one box, which no filling produces."""
+    if not (_covers(rho, mu) and _covers(rho, nu)):
+        raise InconsistentGrowth(f"corner {rho} cannot sit below {mu} and right of {nu}")
+    if mu != nu:
+        return tuple(map(min, mu, nu)), False
+    if mu == rho:
+        return rho, False
+    row = _grown_row(mu, rho)
+    if row == 0:
+        return mu, True
+    return _remove_box(mu, row - 1), False
+
+
+def growth_diagram(f: YoungFilling) -> dict[Corner, Partition]:
+    """Label of every corner of the shape, edges included."""
+    labels = {(0, c): () for c in range(f.shape[0] + 1)}
+    for r, width in enumerate(f.shape, start=1):
+        labels[r, 0] = ()
+        for c in range(1, width + 1):
+            labels[r, c] = forward_rule(
+                labels[r - 1, c - 1], labels[r - 1, c], labels[r, c - 1], (r, c) in f.ones
+            )
+    return labels
+
+
+def border_corners(shape: Sequence[int]) -> tuple[Corner, ...]:
+    """Corners whose south-east cell lies outside the shape, from the
+    bottom-left corner (len(shape), 0) to the top-right (0, shape[0])."""
+    widths = (shape[0], *shape, 0)
+    return tuple(
+        (r, c)
+        for r in range(len(shape), -1, -1)
+        for c in range(widths[r + 1], widths[r] + 1)
+    )
+
+
+def growth_involution(f: YoungFilling) -> YoungFilling:
+    """Transpose the border labels of f's growth diagram and rebuild the
+    filling from them with the backward rules, bottom row first."""
+    grown = growth_diagram(f)
+    labels = {corner: _conjugate(grown[corner]) for corner in border_corners(f.shape)}
+    ones = set()
+    for r in range(len(f.shape), 0, -1):
+        for c in range(f.shape[r - 1], 0, -1):
+            labels[r - 1, c - 1], filled = backward_rule(
+                labels[r, c], labels[r - 1, c], labels[r, c - 1]
+            )
+            if filled:
+                ones.add((r, c))
+    edges = [labels[r, 0] for r in range(len(f.shape) + 1)]
+    edges += [labels[0, c] for c in range(f.shape[0] + 1)]
+    if any(edges):
+        raise InconsistentGrowth(f"rebuilding left a box on the top or left edge: {edges}")
     return YoungFilling(f.shape, frozenset(ones), f.openers, f.closers)
 
 
-def _check_occurrence(f: YoungFilling, occ: PatternOccurrence, kind: PatternKind):
-    if occ.kind is not kind:
-        raise InvalidOccurrence(f"expected a {kind.value} occurrence")
-    if not set(occ.cells) <= f.ones:
-        raise InvalidOccurrence("occurrence cells are not all filled")
-    if not _occurrence_ok(occ.cells, f.shape, kind):
-        raise InvalidOccurrence(f"cells {occ.cells} do not form a {kind.value}")
-
-
-def anti_to_identity_step(f: YoungFilling, occ: PatternOccurrence) -> YoungFilling:
-    """One unwinding move on an anti-identity: with cells (l_1,c_1), ...,
-    (l_k,c_k) read from bottom-left to top-right, the 1s move to
-    (l_2,c_1), ..., (l_k,c_{k-1}) and (l_1,c_k), leaving an anti-identity
-    of size k-1 beside a settled corner cell."""
-    _check_occurrence(f, occ, PatternKind.ANTI_IDENTITY)
-    if occ.k == 1:
-        return f
-    rows = [r for r, _ in occ.cells]
-    cols = [c for _, c in occ.cells]
-    new = [(rows[i + 1], cols[i]) for i in range(occ.k - 1)]
-    new.append((rows[0], cols[-1]))
-    return _replace_cells(f, occ.cells, new)
-
-
-def identity_to_anti_step(f: YoungFilling, occ: PatternOccurrence) -> YoungFilling:
-    """One unwinding move on an identity: with cells (a_1,b_1), ...,
-    (a_k,b_k) read from top-left, the first two rows trade columns and
-    the rest stay."""
-    _check_occurrence(f, occ, PatternKind.IDENTITY)
-    if occ.k == 1:
-        return f
-    rows = [r for r, _ in occ.cells]
-    cols = [c for _, c in occ.cells]
-    new = [(rows[1], cols[0]), (rows[0], cols[1])]
-    new.extend(occ.cells[2:])
-    return _replace_cells(f, occ.cells, new)
-
-
-class TraceStep(NamedTuple):
-    op: str
-    before: tuple[Cell, ...]
-    after: tuple[Cell, ...]
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self, trace):
-        self.used += 1
-        if self.used > self.limit:
-            raise StepBudgetExhausted(
-                f"no interchange after {self.limit} moves", trace
-            )
-
-
-def _unwind_anti(f: YoungFilling, occ: PatternOccurrence, budget: _Budget, trace: list) -> YoungFilling:
-    cells = list(occ.cells)
-    cur = f
-    while len(cells) >= 2:
-        step_occ = PatternOccurrence(PatternKind.ANTI_IDENTITY, tuple(cells))
-        nxt = anti_to_identity_step(cur, step_occ)
-        rows = [r for r, _ in cells]
-        cols = [c for _, c in cells]
-        moved = [(rows[i + 1], cols[i]) for i in range(len(cells) - 1)]
-        moved.append((rows[0], cols[-1]))
-        trace.append(TraceStep("anti_to_identity", tuple(cells), tuple(sorted(moved))))
-        budget.tick(trace)
-        cells = moved[:-1]
-        cur = nxt
-    return cur
-
-
-def _unwind_identity(f: YoungFilling, occ: PatternOccurrence, budget: _Budget, trace: list) -> YoungFilling:
-    # rotating ever longer prefixes reverses the row assignment in the end
-    cols = [c for _, c in occ.cells]
-    state = [r for r, _ in occ.cells]
-    cur = f
-    for m in range(1, len(cols)):
-        if m == 1:
-            nxt = identity_to_anti_step(cur, occ)
-            new_state = [state[1], state[0]] + state[2:]
-        else:
-            old_cells = [(state[i], cols[i]) for i in range(len(cols))]
-            new_state = [state[m]] + state[:m] + state[m + 1:]
-            new_cells = [(new_state[i], cols[i]) for i in range(len(cols))]
-            nxt = _replace_cells(cur, old_cells, new_cells)
-        trace.append(TraceStep(
-            "identity_to_anti",
-            tuple((state[i], cols[i]) for i in range(len(cols))),
-            tuple((new_state[i], cols[i]) for i in range(len(cols))),
-        ))
-        budget.tick(trace)
-        state = new_state
-        cur = nxt
-    return cur
-
-
-def default_step_budget(f: YoungFilling) -> int:
-    return 4 ** len(f.shape)
-
-
-def interchange_patterns(
-    f: YoungFilling, max_steps: int | None = None
-) -> tuple[YoungFilling, tuple[TraceStep, ...]]:
-    """Trade the maximal anti-identity and identity sizes.
-
-    Whichever side exceeds its target gets its maximal occurrence fully
-    unwound into the opposite pattern; repeat until the sizes have
-    swapped.  Raises StepBudgetExhausted, trace attached, if the budget
-    runs out or the iteration stalls short of the target.
-    """
-    budget = _Budget(default_step_budget(f) if max_steps is None else max_steps)
-    a = find_max_pattern(f, PatternKind.ANTI_IDENTITY).k
-    b = find_max_pattern(f, PatternKind.IDENTITY).k
-    trace: list[TraceStep] = []
-    cur = f
-    while True:
-        j = find_max_pattern(cur, PatternKind.ANTI_IDENTITY).k
-        i = find_max_pattern(cur, PatternKind.IDENTITY).k
-        if (j, i) == (b, a):
-            return cur, tuple(trace)
-        if j > b:
-            occ = find_max_pattern(cur, PatternKind.ANTI_IDENTITY)
-            cur = _unwind_anti(cur, occ, budget, trace)
-        elif i > a:
-            occ = find_max_pattern(cur, PatternKind.IDENTITY)
-            cur = _unwind_identity(cur, occ, budget, trace)
-        else:
-            raise StepBudgetExhausted(
-                f"stalled at pattern maxima ({j},{i}), target ({b},{a})", trace
-            )
-
-
-def max_chain_involution(p: SignedPermutation, max_steps: int | None = None) -> SignedPermutation:
+def max_chain_involution(p: SignedPermutation) -> SignedPermutation:
     """Swap the maximal crossing/nesting chain sizes through the filling
     encoding; degree sequence and negative-entry count ride along
     untouched because the shape and its vertex lists never change."""
-    f = xi(upper_diagram(p))
-    g, _ = interchange_patterns(f, max_steps)
-    return permutation_from_upper(xi_inverse(g))
+    return permutation_from_upper(xi_inverse(growth_involution(xi(upper_diagram(p)))))
 
 
 def filling_to_text(f: YoungFilling) -> str:

@@ -144,64 +144,63 @@ def is_nesting_chain(arcs: Iterable[Arc]) -> bool:
     return starts[-1] <= ends[-1]
 
 
-def _max_crossing_dp(arcs: tuple[Arc, ...]) -> int:
-    """Largest crossing chain via a first/last arc sweep.
+def _chain_sizes(starts: list[int], ends: list[int]) -> tuple[int, int]:
+    """(largest crossing chain, largest nesting chain) of arcs sorted by
+    start, given as plain lists; the batch kernel runs it row by row.
 
-    Fixing the first arc f and last arc l of a candidate chain, the
-    chain condition collapses to s_l <= e_f (shared vertex positive),
+    Crossing: fixing the first arc f and last arc l of a candidate chain,
+    the chain condition collapses to s_l <= e_f (shared vertex positive),
     and the arcs in between form a longest strictly-increasing run of
     ends inside the index window, which is a plain LIS count.
+    Nesting: the longest strict containment chain.
     """
-    m = len(arcs)
-    best = 0
+    m = len(starts)
+    best_cross = 0
     for f in range(m):
-        sf, ef = arcs[f]
+        ef = ends[f]
         for l in range(f, m):
-            sl, el = arcs[l]
+            sl = starts[l]
             if sl > ef or (sl == ef and f != l and sl < 0):
                 continue
             if f == l:
-                best = max(best, 1)
+                if best_cross < 1:
+                    best_cross = 1
                 continue
+            el = ends[l]
             if el <= ef:
                 continue
             window = [0] * (l - f + 1)
             window[0] = 1
             for g in range(f + 1, l + 1):
-                eg = arcs[g].end
+                eg = ends[g]
                 if eg <= ef or eg > el:
                     continue
                 reach = 0
                 for h in range(f, g):
-                    if window[h - f] and arcs[h].end < eg:
-                        reach = max(reach, window[h - f])
+                    w = window[h - f]
+                    if w > reach and ends[h] < eg:
+                        reach = w
                 if reach:
                     window[g - f] = reach + 1
-            if window[l - f]:
-                best = max(best, window[l - f])
-    return best
-
-
-def _max_nesting_dp(arcs: tuple[Arc, ...]) -> int:
-    """Largest nesting chain = longest strict containment chain."""
-    m = len(arcs)
+            if window[l - f] > best_cross:
+                best_cross = window[l - f]
+    best_nest = 0
     depth = [1] * m
-    best = 1 if m else 0
     for j in range(m):
-        sj, ej = arcs[j]
+        sj = starts[j]
+        ej = ends[j]
         for i in range(j):
-            si, ei = arcs[i]
-            if si < sj and ej < ei:
-                depth[j] = max(depth[j], depth[i] + 1)
-        best = max(best, depth[j])
-    return best
+            if starts[i] < sj and ej < ends[i] and depth[i] + 1 > depth[j]:
+                depth[j] = depth[i] + 1
+        if depth[j] > best_nest:
+            best_nest = depth[j]
+    return best_cross, best_nest
 
 
 def max_chain_sizes(x: SignedPermutation | UpperDiagram) -> tuple[int, int]:
     """(largest crossing chain, largest nesting chain)."""
-    d = _as_diagram(x)
-    arcs = d.sorted_arcs
-    return _max_crossing_dp(arcs), _max_nesting_dp(arcs)
+    arcs = _as_diagram(x).sorted_arcs
+    return _chain_sizes([a.start for a in arcs], [a.end for a in arcs])
 
 
 def cro_star(x: SignedPermutation | UpperDiagram) -> int:

@@ -33,6 +33,9 @@ THETA_UPPER = frozenset({
 })
 THETA_VALUES = (5, 4, 3, -6, 2, -1)
 
+# image of EX2 under the growth-diagram chain involution
+EX2_THETA_IMAGE = "1,4,3,-5,2,-6"
+
 EX2_SHAPE = (6, 6, 6, 6, 4, 3)
 EX2_OPENERS = (-6, -5, -4, 1, 2, 3)
 EX2_CLOSERS = (-2, 1, 3, 4, 5, 6)

@@ -4,6 +4,7 @@ import pytest
 
 from goldens import EX1, EX1_IMAGE, EX2, EX2_DEGREE
 
+from crossnest import fillings
 from crossnest.cli import main
 
 
@@ -91,6 +92,13 @@ class TestFillAndTheta:
         back.write_text(swapped)
         code, restored, _ = run_cli(capsys, "theta", "--from-filling", str(back))
         assert restored == filled
+
+    def test_theta_internal_error_exits_3(self, capsys, monkeypatch):
+        # doubled border labels break the backward rules at the first corner
+        monkeypatch.setattr(fillings, "_conjugate", lambda lam: tuple(2 * v for v in lam))
+        code, out, err = run_cli(capsys, "theta", EX2)
+        assert code == 3
+        assert out == "" and "internal error" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "out.txt"

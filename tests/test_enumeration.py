@@ -161,11 +161,15 @@ class TestMaxCrossingCount:
         assert report.info["counts"] == [2, 2, 2, 2]
 
     def test_constructive_path(self):
-        assert max_crossing_count(12, method="constructive") == 1
+        # no count beyond the enumeration guard is backed by enumeration
+        # or proof, so the closed form is no longer returned there
+        with pytest.raises(RankTooLarge):
+            max_crossing_count(12)
 
     def test_enumeration_guard(self):
-        with pytest.raises(RankTooLarge):
-            max_crossing_count(9, method="enumeration")
+        for n in (0, 9):
+            with pytest.raises(RankTooLarge):
+                max_crossing_count(n)
 
 
 class TestInvolutionSuite:

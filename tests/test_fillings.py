@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from goldens import (
@@ -6,30 +8,29 @@ from goldens import (
     EX2_CLOSERS,
     EX2_OPENERS,
     EX2_SHAPE,
+    EX2_THETA_IMAGE,
     EX2_UPPER,
     THETA_VALUES,
 )
 
 from crossnest import (
-    Arc,
     PatternKind,
-    PatternOccurrence,
     SignedPermutation,
     UpperDiagram,
     YoungFilling,
-    anti_to_identity_step,
     count_avoiders,
     cro_star,
+    cro_star_brute,
     degree_sequence,
     enumerate_bn,
-    find_max_pattern,
+    growth_diagram,
+    growth_involution,
     identity,
-    identity_to_anti_step,
-    interchange_patterns,
     max_chain_involution,
     max_chain_sizes,
     neg,
     nes_star,
+    nes_star_brute,
     parse_permutation,
     upper_diagram,
     xi,
@@ -37,15 +38,34 @@ from crossnest import (
     young_shape,
 )
 from crossnest.errors import (
+    InconsistentGrowth,
     InfeasibleSums,
-    InvalidOccurrence,
     MissingDiagramLists,
     RowColumnSumViolation,
 )
-from crossnest.fillings import filling_to_text, max_pattern_size, parse_filling_text
+from crossnest.fillings import (
+    backward_rule,
+    border_corners,
+    filling_to_text,
+    forward_rule,
+    max_pattern_size,
+    parse_filling_text,
+)
 
 J = PatternKind.ANTI_IDENTITY
 I = PatternKind.IDENTITY
+
+
+def border_sizes(f):
+    """(longest anti-identity, longest identity) read off the border labels."""
+    labels = growth_diagram(f)
+    border = [labels[corner] for corner in border_corners(f.shape)]
+    return max(map(len, border)), max(lam[0] for lam in border if lam)
+
+
+def pattern_sizes(f):
+    """The same pair from the independent longest-chain DP."""
+    return max_pattern_size(f.ones, f.shape, J), max_pattern_size(f.ones, f.shape, I)
 
 
 class TestYoungShape:
@@ -103,96 +123,137 @@ class TestXi:
 class TestPatternSearch:
     def test_example_two_antiidentity(self):
         f = xi(UpperDiagram(6, EX2_UPPER))
-        occ = find_max_pattern(f, J)
-        assert occ.k == 4
+        assert border_sizes(f)[0] == pattern_sizes(f)[0] == 4
+        # the corner below row 4 at column 6 encloses the 4-pattern
+        assert growth_diagram(f)[4, 6] == (1, 1, 1, 1)
+        assert max_pattern_size({(4, 2), (3, 4), (2, 5), (1, 6)}, f.shape, J) == 4
         # the rectangle condition rules the (5,1) cell out of any
         # 4-pattern: rows 1..5 never reach column 6
-        assert occ.cells == ((4, 2), (3, 4), (2, 5), (1, 6))
+        assert max_pattern_size({(5, 1), (3, 4), (2, 5), (1, 6)}, f.shape, J) == 3
 
     def test_example_two_identity(self):
         f = xi(UpperDiagram(6, EX2_UPPER))
-        assert find_max_pattern(f, I).k == 2
+        assert border_sizes(f)[1] == pattern_sizes(f)[1] == 2
 
     def test_single_cell(self):
         f = xi(upper_diagram(identity(1)))
-        assert find_max_pattern(f, I).k == 1
-        assert find_max_pattern(f, J).k == 1
+        assert border_sizes(f) == pattern_sizes(f) == (1, 1)
 
     def test_sizes_match_chain_statistics(self):
         for n in range(1, 5):
             for p in enumerate_bn(n):
                 f = xi(upper_diagram(p))
-                assert find_max_pattern(f, J).k == cro_star(p)
-                assert find_max_pattern(f, I).k == nes_star(p)
+                assert border_sizes(f) == (cro_star(p), nes_star(p))
+                assert pattern_sizes(f) == (cro_star(p), nes_star(p))
 
     def test_negative_shared_vertex_not_a_pattern(self):
         f = xi(upper_diagram(SignedPermutation((-2, 1))))
-        assert find_max_pattern(f, J).k == 1
+        assert border_sizes(f)[0] == pattern_sizes(f)[0] == 1
+
+
+def small_partitions(max_size):
+    found = [()]
+    frontier = [()]
+    for _ in range(max_size):
+        frontier = sorted({grown for lam in frontier for grown in one_box_more(lam)})
+        found.extend(frontier)
+    return found
+
+
+def one_box_more(lam):
+    for row in range(len(lam) + 1):
+        part = lam[row] + 1 if row < len(lam) else 1
+        if row == 0 or part <= lam[row - 1]:
+            yield lam[:row] + (part,) + lam[row + 1:]
 
 
 class TestSteps:
+    """Fomin's local rules, one cell at a time, and the labels they grow."""
+
     def test_anti_to_identity_k2(self):
+        # the 2-anti-identity grows the column (1,1); its conjugate (2)
+        # rebuilds the 2-identity
         f = YoungFilling((2, 2), frozenset({(2, 1), (1, 2)}))
-        occ = PatternOccurrence(J, ((2, 1), (1, 2)))
-        assert anti_to_identity_step(f, occ).ones == {(1, 1), (2, 2)}
+        assert growth_diagram(f)[2, 2] == (1, 1)
+        assert growth_involution(f).ones == {(1, 1), (2, 2)}
 
     def test_identity_to_anti_k2(self):
         f = YoungFilling((2, 2), frozenset({(1, 1), (2, 2)}))
-        occ = PatternOccurrence(I, ((1, 1), (2, 2)))
-        assert identity_to_anti_step(f, occ).ones == {(2, 1), (1, 2)}
+        assert growth_diagram(f)[2, 2] == (2,)
+        assert growth_involution(f).ones == {(2, 1), (1, 2)}
 
     def test_anti_step_exposes_smaller_block(self):
+        # each corner of the 3-anti-identity sees the block it encloses
         f = YoungFilling((3, 3, 3), frozenset({(3, 1), (2, 2), (1, 3)}))
-        occ = PatternOccurrence(J, ((3, 1), (2, 2), (1, 3)))
-        stepped = anti_to_identity_step(f, occ)
-        # anti-identity of size 2 in the first columns, settled 1 at (3,3)
-        assert stepped.ones == {(2, 1), (1, 2), (3, 3)}
+        labels = growth_diagram(f)
+        assert labels[3, 3] == (1, 1, 1)
+        assert labels[2, 3] == labels[3, 2] == (1, 1)
+        assert labels[2, 2] == (1,)
 
-    def test_identity_step_swaps_top_corner(self):
+    def test_identity_grows_first_row(self):
         f = YoungFilling((3, 3, 3), frozenset({(1, 1), (2, 2), (3, 3)}))
-        occ = PatternOccurrence(I, ((1, 1), (2, 2), (3, 3)))
-        stepped = identity_to_anti_step(f, occ)
-        assert stepped.ones == {(2, 1), (1, 2), (3, 3)}
+        labels = growth_diagram(f)
+        assert [labels[k, k] for k in range(4)] == [(), (1,), (2,), (3,)]
+
+    def test_forward_rule_cases(self):
+        assert forward_rule((), (), (), True) == (1,)
+        assert forward_rule((1,), (1,), (1,), False) == (1,)
+        assert forward_rule((1,), (2,), (1,), False) == (2,)
+        assert forward_rule((1,), (2,), (1, 1), False) == (2, 1)
+        # equal growths bump the new box one row down
+        assert forward_rule((1,), (2,), (2,), False) == (2, 1)
+        assert forward_rule((1,), (1, 1), (1, 1), False) == (1, 1, 1)
+
+    def test_rules_invert_each_other(self):
+        for lam in small_partitions(4):
+            grown = [lam, *one_box_more(lam)]
+            for mu, nu in product(grown, repeat=2):
+                for filled in (False, True) if mu == nu == lam else (False,):
+                    rho = forward_rule(lam, mu, nu, filled)
+                    assert backward_rule(rho, mu, nu) == (lam, filled)
+
+    def test_border_walks_from_bottom_left(self):
+        assert border_corners((2, 1)) == ((2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
+        assert border_corners((1,)) == ((1, 0), (1, 1), (0, 1))
 
     def test_k1_is_noop(self):
         f = YoungFilling((1,), frozenset({(1, 1)}))
-        occ = PatternOccurrence(J, ((1, 1),))
-        assert anti_to_identity_step(f, occ) is f
+        assert growth_involution(f) == f
 
-    def test_stale_occurrence_rejected(self):
-        f = YoungFilling((2, 2), frozenset({(1, 1), (2, 2)}))
-        with pytest.raises(InvalidOccurrence):
-            anti_to_identity_step(f, PatternOccurrence(J, ((2, 1), (1, 2))))
+    def test_inconsistent_corner_rejected(self):
+        with pytest.raises(InconsistentGrowth):
+            backward_rule((2,), (), (1,))       # two boxes above one corner
+        with pytest.raises(InconsistentGrowth):
+            backward_rule((1,), (1, 1), (1,))   # a label outside its corner
 
     def test_moves_preserve_sums(self):
         f = xi(UpperDiagram(6, EX2_UPPER))
-        occ = find_max_pattern(f, J)
-        stepped = anti_to_identity_step(f, occ)
-        assert {r for r, _ in stepped.ones} == {r for r, _ in f.ones}
-        assert {c for _, c in stepped.ones} == {c for _, c in f.ones}
+        g = growth_involution(f)
+        assert g.shape == f.shape
+        assert {r for r, _ in g.ones} == {r for r, _ in f.ones}
+        assert {c for _, c in g.ones} == {c for _, c in f.ones}
 
 
 class TestInterchange:
     def test_balanced_filling_unchanged(self):
         f = xi(upper_diagram(identity(3)))
-        g, trace = interchange_patterns(f)
-        assert g == f and trace == ()
+        assert growth_involution(f) == f
 
     def test_two_by_two(self):
         f = YoungFilling((2, 2), frozenset({(2, 1), (1, 2)}))
-        g, trace = interchange_patterns(f)
+        g = growth_involution(f)
         assert g.ones == {(1, 1), (2, 2)}
-        assert len(trace) == 1
+        assert growth_involution(g) == f
 
     def test_example_two_swaps_chain_sizes(self):
         f = xi(UpperDiagram(6, EX2_UPPER))
-        g, _ = interchange_patterns(f)
-        d = xi_inverse(g)
+        d = xi_inverse(growth_involution(f))
         assert max_chain_sizes(d) == (2, 4)
 
     def test_composite_on_example_two(self):
         p = parse_permutation(EX2)
         image = max_chain_involution(p)
+        assert str(image) == EX2_THETA_IMAGE
         assert max_chain_sizes(image) == (2, 4)
         assert str(degree_sequence(image)) == str(degree_sequence(p))
         assert neg(image) == 2
@@ -205,10 +266,11 @@ class TestInterchange:
         assert max_chain_sizes(q) == (2, 4) and neg(q) == 2
 
     def test_exhaustive_involution_small_rank(self):
-        for n in range(1, 4):
+        for n in range(1, 5):
             for p in enumerate_bn(n):
                 image = max_chain_involution(p)
-                assert max_chain_sizes(image) == max_chain_sizes(p)[::-1]
+                assert (cro_star_brute(image), nes_star_brute(image)) == (
+                    nes_star_brute(p), cro_star_brute(p))
                 assert str(degree_sequence(image)) == str(degree_sequence(p))
                 assert neg(image) == neg(p)
                 assert max_chain_involution(image) == p
