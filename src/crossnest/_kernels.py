@@ -3,9 +3,11 @@
 Enumerating all 2^n * n! signed permutations of a rank and computing
 statistics for each one is the only hot loop in this package.  The
 kernels here work on int64 arc tables of shape (P, n, 2), arcs sorted
-by start within each row.  The pair statistics are vectorised over arc
-pairs in numpy; the chain statistics run the DP of `statistics` row by
-row, on plain lists.
+by start within each row; `enumeration` feeds them blocks of about
+`BLOCK_ROWS` rows, so P stays small whatever the rank.  The pair
+statistics loop over the n(n-1)/2 column pairs of the table, each step
+a few operations on 1-D columns of length P; the chain statistics run
+the DP of `statistics` row by row, on plain lists.
 
 The subset brute-force oracles in `statistics` are deliberately not
 accelerated; they exist to check these kernels, not to race them.
@@ -38,26 +40,30 @@ def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
 # --- pair statistics: cro, nes, wex, neg ---------------------------------
 
 def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
-    """(P, 4) table of (cro, nes, wex, neg), vectorised over pairs."""
-    S = arcs[:, :, 0]
-    E = arcs[:, :, 1]
-    n = S.shape[1]
-    v1 = E[:, :, None]           # earlier arc (smaller start) on axis 1
-    u2 = S[:, None, :]
-    v2 = E[:, None, :]
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)[None, :, :]
-    shared = v1 == u2
-    crossing = np.where(
-        shared,
-        u2 > 0,
-        (u2 < v1) & (v2 > v1),
-    )
-    nesting = (~shared) & (u2 < v1) & (v2 < v1)
-    cro = (crossing & upper).sum(axis=(1, 2))
-    nes = (nesting & upper).sum(axis=(1, 2))
-    wex = (S > 0).sum(axis=1)
-    neg = ((S < 0) & (E > 0)).sum(axis=1)
-    return np.stack([cro, nes, wex, neg], axis=1).astype(np.int64)
+    """(P, 4) table of (cro, nes, wex, neg), one column pair at a time.
+
+    For arcs a < b in start order, with b starting inside a: they cross
+    when b ends beyond a and nest when it ends inside a.  When b starts
+    where a ends, they cross exactly when that shared vertex is positive.
+    """
+    # column-major copies: S[a] is the start of arc a in every row
+    S = np.ascontiguousarray(arcs[:, :, 0].T)
+    E = np.ascontiguousarray(arcs[:, :, 1].T)
+    n, p = S.shape
+    cro = np.zeros(p, dtype=np.int64)
+    nes = np.zeros(p, dtype=np.int64)
+    for a in range(n):
+        ea = E[a]
+        for b in range(a + 1, n):
+            sb, eb = S[b], E[b]
+            inside = sb < ea
+            beyond = eb > ea
+            cro += inside & beyond
+            nes += inside & ~beyond
+            cro += (sb == ea) & (sb > 0)
+    wex = (S > 0).sum(axis=0, dtype=np.int64)
+    neg = ((S < 0) & (E > 0)).sum(axis=0, dtype=np.int64)
+    return np.stack([cro, nes, wex, neg], axis=1)
 
 
 # --- chain statistics: cro_star, nes_star --------------------------------

@@ -144,15 +144,15 @@ def cmd_theta(args) -> int:
 def cmd_verify(args) -> int:
     n = args.n
     if args.claim == "thm24":
-        report = verify_pair_symmetry(n if n else 5)
+        report = verify_pair_symmetry(5 if n is None else n)
     elif args.claim == "thm27":
-        report = verify_chain_symmetry(n if n else 4)
+        report = verify_chain_symmetry(4 if n is None else n)
     elif args.claim == "corollary":
-        report = verify_max_crossing_counts(n if n else 6)
+        report = verify_max_crossing_counts(6 if n is None else n)
     elif args.claim == "lemma41":
-        report = verify_avoider_symmetry(max_rows=n if n else 4)
+        report = verify_avoider_symmetry(max_rows=4 if n is None else n)
     else:   # involutions
-        bound = n if n else 3
+        bound = 3 if n is None else n
         pair = verify_involution_properties(bound, "pair")
         chain = verify_involution_properties(bound, "chain")
         bad = []

@@ -6,6 +6,13 @@ involutions in `involution` and `fillings`: a distribution table is
 built over the full rank (or over one degree-sequence class) and checked
 for symmetry key by key.  The involution property suite is a separate
 claim that applies the maps and confirms their documented behaviour.
+
+`distribution` and `max_crossing_count` stream the rank in blocks of
+about `BLOCK_ROWS` one-line arrays (whole magnitude permutations, each
+with all 2^n sign masks), in the row order of `signed_values_batch`, so
+their memory stays bounded up to `MAX_ENUM_RANK`.  A block's statistics
+are folded into one mixed-radix integer key per row and counted with
+`np.bincount`; the keys are decoded into tuples once, at the end.
 """
 
 from __future__ import annotations
@@ -29,14 +36,20 @@ from .core import (
     upper_diagram,
     wex,
 )
-from .errors import RankTooLarge
+from .errors import RankTooLarge, UnknownStatistic
 from .fillings import max_chain_involution
 from .involution import crossing_nesting_involution
 from .statistics import cro, max_chain_sizes, nes
 
 MAX_ENUM_RANK = 8
 
+# rows per streamed block; a block holds max(1, BLOCK_ROWS >> n) whole
+# magnitude permutations
+BLOCK_ROWS = 2 ** 14
+
 STAT_NAMES = ("nes", "cro", "wex", "neg", "cro_star", "nes_star")
+PAIR_STATS = ("cro", "nes", "wex", "neg")      # pair_stats_batch columns
+CHAIN_STATS = ("cro_star", "nes_star")         # chain_stats_batch columns
 
 
 def _check_rank(n: int) -> None:
@@ -46,16 +59,33 @@ def _check_rank(n: int) -> None:
         )
 
 
-def signed_values_batch(n: int) -> np.ndarray:
-    """All 2^n * n! one-line arrays, magnitude permutations in
-    lexicographic order outermost, sign masks in binary order inner;
-    bit j of the mask flips position j+1."""
-    _check_rank(n)
-    mags = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
+def _signed_rows(mags: np.ndarray, n: int) -> np.ndarray:
+    """One-line arrays of the given magnitude permutations, each followed
+    by its 2^n sign masks in binary order; bit j of the mask flips
+    position j+1."""
     masks = np.arange(2 ** n, dtype=np.int64)
     signs = 1 - 2 * ((masks[:, None] >> np.arange(n)) & 1)
-    values = mags[:, None, :] * signs[None, :, :]
-    return values.reshape(-1, n)
+    return (mags[:, None, :] * signs[None, :, :]).reshape(-1, n)
+
+
+def _magnitudes(n: int) -> np.ndarray:
+    _check_rank(n)
+    return np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
+
+
+def signed_values_batch(n: int) -> np.ndarray:
+    """All 2^n * n! one-line arrays, magnitude permutations in
+    lexicographic order outermost, sign masks in binary order inner."""
+    return _signed_rows(_magnitudes(n), n)
+
+
+def _signed_value_blocks(n: int) -> Iterator[np.ndarray]:
+    """The rows of `signed_values_batch(n)`, in order, in blocks of
+    about BLOCK_ROWS."""
+    mags = _magnitudes(n)
+    step = max(1, BLOCK_ROWS >> n)
+    for lo in range(0, len(mags), step):
+        yield _signed_rows(mags[lo:lo + step], n)
 
 
 def enumerate_bn(n: int) -> Iterator[SignedPermutation]:
@@ -71,21 +101,10 @@ def bn_size(n: int) -> int:
     return size
 
 
-def _stat_columns(n: int, names: tuple[str, ...]) -> np.ndarray:
-    values = signed_values_batch(n)
-    arcs = _kernels.upper_arcs_batch(values)
-    columns = {}
-    if {"nes", "cro", "wex", "neg"} & set(names):
-        table = _kernels.pair_stats_batch(arcs)
-        columns["cro"] = table[:, 0]
-        columns["nes"] = table[:, 1]
-        columns["wex"] = table[:, 2]
-        columns["neg"] = table[:, 3]
-    if {"cro_star", "nes_star"} & set(names):
-        table = _kernels.chain_stats_batch(arcs)
-        columns["cro_star"] = table[:, 0]
-        columns["nes_star"] = table[:, 1]
-    return np.stack([columns[name] for name in names], axis=1)
+def _stat_radix(n: int, name: str) -> int:
+    """One more than the largest value the statistic takes at rank n:
+    cro and nes count arc pairs, the others count arcs."""
+    return n * (n - 1) // 2 + 1 if name in ("cro", "nes") else n + 1
 
 
 @dataclass(frozen=True)
@@ -122,10 +141,32 @@ def distribution(n: int, schema: tuple[str, ...] = ("nes", "cro", "wex", "neg"))
     schema = tuple(schema)
     unknown = set(schema) - set(STAT_NAMES)
     if unknown:
-        raise ValueError(f"unknown statistics {sorted(unknown)}; pick from {STAT_NAMES}")
-    stats = _stat_columns(n, schema)
-    counter = Counter(map(tuple, stats.tolist()))
-    return DistributionTable(schema, dict(counter), int(stats.shape[0]))
+        raise UnknownStatistic(
+            f"unknown statistics {sorted(unknown)}; pick from {','.join(STAT_NAMES)}")
+    _check_rank(n)
+    radices = np.array([_stat_radix(n, name) for name in schema], dtype=np.int64)
+    # place values with the first statistic most significant, so that key
+    # order is the lexicographic order of the tuples
+    places = np.array([radices[i + 1:].prod() for i in range(len(schema))], dtype=np.int64)
+    want_pair = not set(schema).isdisjoint(PAIR_STATS)
+    want_chain = not set(schema).isdisjoint(CHAIN_STATS)
+    counts = np.zeros(radices.prod(), dtype=np.int64)
+    for values in _signed_value_blocks(n):
+        arcs = _kernels.upper_arcs_batch(values)
+        columns = {}
+        if want_pair:
+            columns.update(zip(PAIR_STATS, _kernels.pair_stats_batch(arcs).T))
+        if want_chain:
+            columns.update(zip(CHAIN_STATS, _kernels.chain_stats_batch(arcs).T))
+        keys = np.zeros(len(values), dtype=np.int64)
+        for name, place in zip(schema, places.tolist()):
+            keys += columns[name] * place
+        block = np.bincount(keys)
+        counts[:len(block)] += block
+    present = np.flatnonzero(counts)
+    digits = present[:, None] // places % radices
+    cells = dict(zip(map(tuple, digits.tolist()), counts[present].tolist()))
+    return DistributionTable(schema, cells, int(counts.sum()))
 
 
 @dataclass
@@ -157,6 +198,8 @@ def _timed(fn):
 def verify_pair_symmetry(n_max: int = 5) -> VerificationReport:
     """The (nes, cro, wex, neg) table is symmetric under swapping the
     first two coordinates, rank by rank."""
+    _check_rank(n_max)
+
     def run():
         bad = []
         for n in range(1, n_max + 1):
@@ -206,6 +249,8 @@ def _degree_bytes_to_string(key: bytes, n: int) -> str:
 def verify_chain_symmetry(n_max: int = 4) -> VerificationReport:
     """Within each degree-sequence class, the (cro_star, nes_star, neg)
     table is symmetric under swapping the chain statistics."""
+    _check_rank(n_max)
+
     def run():
         bad = []
         for n in range(1, n_max + 1):
@@ -251,14 +296,17 @@ def max_crossing_count(n: int) -> int:
     """Number of rank-n permutations whose largest crossing chain uses
     every arc, by enumeration; ranks outside the guard raise RankTooLarge
     because no count beyond it is backed by enumeration or proof."""
-    _check_rank(n)
-    arcs = _kernels.upper_arcs_batch(signed_values_batch(n))
-    chain = _kernels.chain_stats_batch(arcs)
-    return int((chain[:, 0] == n).sum())
+    count = 0
+    for values in _signed_value_blocks(n):
+        chain = _kernels.chain_stats_batch(_kernels.upper_arcs_batch(values))
+        count += int((chain[:, 0] == n).sum())
+    return count
 
 
 def verify_max_crossing_counts(n_max: int = 6) -> VerificationReport:
     """Full-chain counts match 2, 2, 1, 1, ... by enumeration."""
+    _check_rank(n_max)
+
     def run():
         bad = []
         values = []
@@ -301,6 +349,11 @@ def verify_avoider_symmetry(max_rows: int = 4, max_cols: int = 4,
     shape, over all 0/1 row and column sum prescriptions."""
     from .fillings import PatternKind, count_avoiders
     from .errors import InfeasibleSums
+
+    if min(max_rows, max_cols) < 1:
+        raise RankTooLarge(
+            f"desk shape bounds {max_rows}x{max_cols} select no shape; both must be >= 1"
+        )
 
     def run():
         bad = []
@@ -398,6 +451,8 @@ def verify_involution_properties(
     """Apply the chosen map to every permutation of every rank up to
     n_max and confirm swap, preservation and involutivity; failures are
     reported, never raised."""
+    _check_rank(n_max)
+
     def run():
         bad = []
         count = 0

@@ -30,7 +30,12 @@ class IndexOutOfRange(CrossNestError, ValueError):
 
 
 class RankTooLarge(CrossNestError, ValueError):
-    """Exhaustive enumeration requested beyond the guarded rank."""
+    """Exhaustive enumeration requested outside the guarded range (a rank
+    outside 1..MAX_ENUM_RANK, or a verifier bound below 1)."""
+
+
+class UnknownStatistic(CrossNestError, ValueError):
+    """A distribution schema names a statistic the package does not know."""
 
 
 class InfeasibleSums(CrossNestError, ValueError):

@@ -138,6 +138,18 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is True
 
+    # lemma41's --n counts desk rows, which have no upper guard
+    @pytest.mark.parametrize("claim,n", [
+        (claim, n)
+        for claim in ("thm24", "thm27", "corollary", "lemma41", "involutions")
+        for n in ("0", "-1", "9")
+        if (claim, n) != ("lemma41", "9")
+    ])
+    def test_bound_outside_range_is_usage_error(self, capsys, claim, n):
+        code, out, err = run_cli(capsys, "verify", claim, "--n", n)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_report_to_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "verify", "thm24", "--n", "2", "--out", str(target))
@@ -164,6 +176,13 @@ class TestDistribution:
                                "--schema", "cro_star,nes_star")
         assert code == 0
         assert out.splitlines()[0] == "cro_star,nes_star,count"
+
+
+    def test_unknown_statistic_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "distribution", "--n", "2", "--schema", "nes,foo")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestEnumerate:

@@ -1,5 +1,8 @@
 import json
+from collections import Counter
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from goldens import EX2, EX2_DEGREE
@@ -9,6 +12,7 @@ from crossnest import (
     bn_size,
     cro,
     cro_star,
+    cro_star_brute,
     degree_sequence,
     distribution,
     enumerate_bn,
@@ -17,15 +21,29 @@ from crossnest import (
     neg,
     nes,
     nes_star,
+    nes_star_brute,
     parse_permutation,
+    verify_avoider_symmetry,
     verify_chain_symmetry,
     verify_involution_properties,
     verify_max_crossing_counts,
     verify_pair_symmetry,
     wex,
 )
-from crossnest.enumeration import report_to_json, signed_values_batch
-from crossnest.errors import RankTooLarge
+from crossnest import enumeration
+from crossnest.enumeration import BLOCK_ROWS, report_to_json, signed_values_batch
+from crossnest.errors import RankTooLarge, UnknownStatistic
+
+
+@lru_cache(maxsize=None)
+def oracle_rows(n):
+    """Every statistic of every rank-n permutation, from the object-level
+    functions and the subset oracles."""
+    return [
+        {"cro": cro(p), "nes": nes(p), "wex": wex(p), "neg": neg(p),
+         "cro_star": cro_star_brute(p), "nes_star": nes_star_brute(p)}
+        for p in enumerate_bn(n)
+    ]
 
 
 class TestEnumeration:
@@ -51,6 +69,12 @@ class TestEnumeration:
             list(enumerate_bn(9))
         with pytest.raises(RankTooLarge):
             list(enumerate_bn(0))
+
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_blocks_concatenate_to_the_batch(self, n):
+        blocks = list(enumeration._signed_value_blocks(n))
+        assert all(len(b) <= max(BLOCK_ROWS, 2 ** n) for b in blocks)
+        assert (np.concatenate(blocks) == signed_values_batch(n)).all()
 
 
 class TestDistribution:
@@ -80,6 +104,35 @@ class TestDistribution:
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
             distribution(2, ("nes", "des"))
+        with pytest.raises(UnknownStatistic):
+            distribution(2, ("nes", "des"))
+
+    def test_rank_outside_guard(self):
+        for n in (0, 9):
+            with pytest.raises(RankTooLarge):
+                distribution(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("schema", [
+        ("nes", "cro", "wex", "neg"),
+        ("cro_star", "nes_star", "neg"),
+        ("wex", "nes_star", "cro", "neg", "cro_star", "nes"),
+    ])
+    def test_matches_object_level_oracles(self, n, schema):
+        expected = Counter(tuple(row[name] for name in schema) for row in oracle_rows(n))
+        table = distribution(n, schema)
+        assert table.cells == dict(expected)
+        assert table.total == bn_size(n)
+
+    def test_rank_seven_ends_in_a_partial_block(self):
+        mags_per_block = max(1, BLOCK_ROWS >> 7)
+        assert bn_size(7) // 2 ** 7 % mags_per_block != 0
+        table = distribution(7)
+        assert table.total == bn_size(7) == sum(table.cells.values())
+        assert len(table.cells) == 3171
+        assert all(type(v) is int for key in table.cells for v in key)
+        assert all(type(c) is int for c in table.cells.values())
+        json.dumps(table.to_json_obj())
 
     def test_csv_layout(self):
         table = distribution(1)
@@ -91,6 +144,33 @@ class TestDistribution:
         rows = distribution(2).to_json_obj()
         keys = [tuple(r[k] for k in ("nes", "cro", "wex", "neg")) for r in rows]
         assert keys == sorted(keys)
+
+
+class TestVerifierBounds:
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        # a bound outside the guard must fail before any rank is swept
+        def refuse(n):
+            raise AssertionError(f"rank {n} swept")
+        monkeypatch.setattr(enumeration, "_signed_value_blocks", refuse)
+        monkeypatch.setattr(enumeration, "signed_values_batch", refuse)
+
+    @pytest.mark.parametrize("n_max", [0, -3, 9])
+    @pytest.mark.parametrize("verify", [
+        verify_pair_symmetry,
+        verify_chain_symmetry,
+        verify_max_crossing_counts,
+        lambda n: verify_involution_properties(n, "pair"),
+        lambda n: verify_involution_properties(n, "chain"),
+    ])
+    def test_rank_outside_guard(self, verify, n_max):
+        with pytest.raises(RankTooLarge):
+            verify(n_max)
+
+    @pytest.mark.parametrize("bounds", [{"max_rows": 0}, {"max_cols": 0}, {"max_rows": -1}])
+    def test_empty_desk_range(self, bounds):
+        with pytest.raises(RankTooLarge):
+            verify_avoider_symmetry(**bounds)
 
 
 class TestPairSymmetry:

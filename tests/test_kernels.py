@@ -36,7 +36,7 @@ def test_upper_arcs_batch_matches_objects():
             assert [tuple(a) for a in row] == [tuple(a) for a in expected]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_numpy_pair_stats_match_reference(n):
     arcs = K.upper_arcs_batch(signed_values_batch(n))
     ref = reference_rows(n)
