@@ -76,21 +76,3 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
         out[r] = _chain_sizes(arcs[r, :, 0].tolist(), arcs[r, :, 1].tolist())
     return out
 
-
-# --- degree keys ----------------------------------------------------------
-
-def degree_table_batch(arcs: np.ndarray) -> np.ndarray:
-    """(P, 2n, 2) of per-vertex (indegree, outdegree), vertex order
-    -n..-1,1..n."""
-    p, n, _ = arcs.shape
-    starts = arcs[:, :, 0]
-    ends = arcs[:, :, 1]
-
-    def slot(v):
-        return np.where(v < 0, v + n, v + n - 1)
-
-    table = np.zeros((p, 2 * n, 2), dtype=np.int8)
-    rows = np.repeat(np.arange(p), n)
-    table[rows, slot(ends).ravel(), 0] = 1
-    table[rows, slot(starts).ravel(), 1] = 1
-    return table

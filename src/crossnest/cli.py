@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .core import degree_sequence, neg, parse_permutation, upper_diagram, wex
 from .enumeration import (
@@ -49,12 +50,13 @@ EXIT_INTERNAL = 3
 INTERNAL_ERRORS = (Desynchronized, UnmergeablePair, InconsistentGrowth)
 
 
+def _output(out: str | None):
+    return open(out, "w") if out else nullcontext(sys.stdout)
+
+
 def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _stats_payload(p) -> dict:
@@ -187,8 +189,11 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    lines = [str(p) for p in enumerate_bn(args.n)]
-    _write("\n".join(lines) + "\n", args.out)
+    perms = enumerate_bn(args.n)
+    first = next(perms)   # a rank outside the guard raises before --out opens
+    with _output(args.out) as fh:
+        fh.write(f"{first}\n")
+        fh.writelines(f"{p}\n" for p in perms)
     return EXIT_OK
 
 

@@ -7,12 +7,12 @@ built over the full rank (or over one degree-sequence class) and checked
 for symmetry key by key.  The involution property suite is a separate
 claim that applies the maps and confirms their documented behaviour.
 
-`distribution` and `max_crossing_count` stream the rank in blocks of
-about `BLOCK_ROWS` one-line arrays (whole magnitude permutations, each
-with all 2^n sign masks), in the row order of `signed_values_batch`, so
-their memory stays bounded up to `MAX_ENUM_RANK`.  A block's statistics
-are folded into one mixed-radix integer key per row and counted with
-`np.bincount`; the keys are decoded into tuples once, at the end.
+Every counting verifier goes through `_sweep`, which streams the rank in
+blocks of about `BLOCK_ROWS` one-line arrays (whole magnitude
+permutations, each with all 2^n sign masks), so memory stays bounded up
+to `MAX_ENUM_RANK`.  A block's columns, which may include the private
+2n-bit `degree` class code, are folded into one mixed-radix integer key
+per row and counted with `np.bincount`; keys are decoded once, at the end.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterator, Literal
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .core import (
+    DegreeSequence,
     SignedPermutation,
     degree_sequence,
     neg,
@@ -39,7 +39,7 @@ from .core import (
 from .errors import RankTooLarge, UnknownStatistic
 from .fillings import max_chain_involution
 from .involution import crossing_nesting_involution
-from .statistics import cro, max_chain_sizes, nes
+from .statistics import _cro_nes, max_chain_sizes
 
 MAX_ENUM_RANK = 8
 
@@ -90,8 +90,9 @@ def _signed_value_blocks(n: int) -> Iterator[np.ndarray]:
 
 def enumerate_bn(n: int) -> Iterator[SignedPermutation]:
     """Each rank-n signed permutation exactly once, deterministic order."""
-    for row in signed_values_batch(n):
-        yield SignedPermutation(tuple(int(v) for v in row))
+    for values in _signed_value_blocks(n):
+        for row in values.tolist():
+            yield SignedPermutation(tuple(row))
 
 
 def bn_size(n: int) -> int:
@@ -103,8 +104,30 @@ def bn_size(n: int) -> int:
 
 def _stat_radix(n: int, name: str) -> int:
     """One more than the largest value the statistic takes at rank n:
-    cro and nes count arc pairs, the others count arcs."""
+    cro and nes count arc pairs, the degree code has 2n bits, the others
+    count arcs."""
+    if name == "degree":
+        return 4 ** n
     return n * (n - 1) // 2 + 1 if name in ("cro", "nes") else n + 1
+
+
+def _degree_codes(arcs: np.ndarray) -> np.ndarray:
+    """Degree-sequence class code per row: bit m-1 when the arc of magnitude
+    m starts at -m, bit n+m-1 when an arc ends at -m; each magnitude starts
+    one arc and ends one, so the bits fix all 2n (in, out) degrees."""
+    n = arcs.shape[1]
+    return ((arcs < 0) << (np.abs(arcs) - 1 + np.array([0, n]))).sum(axis=(1, 2))
+
+
+def _degree_class(code: int, n: int) -> tuple[str, int]:
+    """The degree sequence text of a class code, and the class's neg."""
+    bits = [(code >> i) & 1 for i in range(2 * n)]
+    neg_out, neg_in = bits[:n], bits[n:]
+    entries = [(neg_in[m], neg_out[m]) for m in reversed(range(n))]
+    entries += [(1 - a, 1 - b) for a, b in zip(neg_in, neg_out)]
+    # an arc that ends at a negative vertex also starts at one, so neg
+    # (negative start, positive end) is the difference of the two counts
+    return str(DegreeSequence(n, tuple(entries))), sum(neg_out) - sum(neg_in)
 
 
 @dataclass(frozen=True)
@@ -136,16 +159,11 @@ class DistributionTable:
         return rows
 
 
-def distribution(n: int, schema: tuple[str, ...] = ("nes", "cro", "wex", "neg")) -> DistributionTable:
-    """Exact joint distribution of the chosen statistics over rank n."""
-    schema = tuple(schema)
-    unknown = set(schema) - set(STAT_NAMES)
-    if unknown:
-        raise UnknownStatistic(
-            f"unknown statistics {sorted(unknown)}; pick from {','.join(STAT_NAMES)}")
-    _check_rank(n)
+def _sweep(n: int, schema: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """Count the rank-n rows by their values of the schema's columns,
+    which are statistics from STAT_NAMES or the `degree` class code."""
     radices = np.array([_stat_radix(n, name) for name in schema], dtype=np.int64)
-    # place values with the first statistic most significant, so that key
+    # place values with the first column most significant, so that key
     # order is the lexicographic order of the tuples
     places = np.array([radices[i + 1:].prod() for i in range(len(schema))], dtype=np.int64)
     want_pair = not set(schema).isdisjoint(PAIR_STATS)
@@ -158,6 +176,8 @@ def distribution(n: int, schema: tuple[str, ...] = ("nes", "cro", "wex", "neg"))
             columns.update(zip(PAIR_STATS, _kernels.pair_stats_batch(arcs).T))
         if want_chain:
             columns.update(zip(CHAIN_STATS, _kernels.chain_stats_batch(arcs).T))
+        if "degree" in schema:
+            columns["degree"] = _degree_codes(arcs)
         keys = np.zeros(len(values), dtype=np.int64)
         for name, place in zip(schema, places.tolist()):
             keys += columns[name] * place
@@ -165,8 +185,19 @@ def distribution(n: int, schema: tuple[str, ...] = ("nes", "cro", "wex", "neg"))
         counts[:len(block)] += block
     present = np.flatnonzero(counts)
     digits = present[:, None] // places % radices
-    cells = dict(zip(map(tuple, digits.tolist()), counts[present].tolist()))
-    return DistributionTable(schema, cells, int(counts.sum()))
+    return dict(zip(map(tuple, digits.tolist()), counts[present].tolist()))
+
+
+def distribution(n: int, schema: tuple[str, ...] = ("nes", "cro", "wex", "neg")) -> DistributionTable:
+    """Exact joint distribution of the chosen statistics over rank n."""
+    schema = tuple(schema)
+    unknown = set(schema) - set(STAT_NAMES)
+    if unknown:
+        raise UnknownStatistic(
+            f"unknown statistics {sorted(unknown)}; pick from {','.join(STAT_NAMES)}")
+    _check_rank(n)
+    cells = _sweep(n, schema)
+    return DistributionTable(schema, cells, sum(cells.values()))
 
 
 @dataclass
@@ -195,6 +226,19 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
+def _unbalanced(cells: dict[tuple[int, ...], int], i: int, j: int):
+    """(key, count, swapped key, its count) for each key whose count differs
+    from the key with coordinates i and j swapped; keys with count 0 are
+    absent, so each unequal pair is reported once, from the side that exists."""
+    for key, count in sorted(cells.items()):
+        swapped = list(key)
+        swapped[i], swapped[j] = key[j], key[i]
+        swapped = tuple(swapped)
+        other = cells.get(swapped, 0)
+        if other != count and (key < swapped or other == 0):
+            yield key, count, swapped, other
+
+
 def verify_pair_symmetry(n_max: int = 5) -> VerificationReport:
     """The (nes, cro, wex, neg) table is symmetric under swapping the
     first two coordinates, rank by rank."""
@@ -204,19 +248,13 @@ def verify_pair_symmetry(n_max: int = 5) -> VerificationReport:
         bad = []
         for n in range(1, n_max + 1):
             table = distribution(n, ("nes", "cro", "wex", "neg"))
-            for key, count in table.sorted_rows():
-                swapped = (key[1], key[0], key[2], key[3])
-                other = table.count(swapped)
-                # keys with count 0 are absent, so report those from the
-                # side that exists; equal-count pairs report nothing
-                if other != count and (key < swapped or other == 0):
-                    bad.append({
-                        "n": n,
-                        "key": list(key),
-                        "count": count,
-                        "swapped_key": list(swapped),
-                        "swapped_count": other,
-                    })
+            bad.extend({
+                "n": n,
+                "key": list(key),
+                "count": count,
+                "swapped_key": list(swapped),
+                "swapped_count": other,
+            } for key, count, swapped, other in _unbalanced(table.cells, 0, 1))
         return bad
 
     bad, elapsed = _timed(run)
@@ -229,23 +267,6 @@ def verify_pair_symmetry(n_max: int = 5) -> VerificationReport:
     )
 
 
-def _degree_groups(n: int) -> dict[bytes, np.ndarray]:
-    values = signed_values_batch(n)
-    arcs = _kernels.upper_arcs_batch(values)
-    table = _kernels.degree_table_batch(arcs)
-    flat = table.reshape(table.shape[0], -1)
-    keys = [row.tobytes() for row in flat]
-    groups: dict[bytes, list[int]] = {}
-    for idx, key in enumerate(keys):
-        groups.setdefault(key, []).append(idx)
-    return {key: np.array(idxs) for key, idxs in groups.items()}
-
-
-def _degree_bytes_to_string(key: bytes, n: int) -> str:
-    pairs = np.frombuffer(key, dtype=np.int8).reshape(2 * n, 2)
-    return "".join(f"({a},{b})" for a, b in pairs)
-
-
 def verify_chain_symmetry(n_max: int = 4) -> VerificationReport:
     """Within each degree-sequence class, the (cro_star, nes_star, neg)
     table is symmetric under swapping the chain statistics."""
@@ -254,26 +275,17 @@ def verify_chain_symmetry(n_max: int = 4) -> VerificationReport:
     def run():
         bad = []
         for n in range(1, n_max + 1):
-            values = signed_values_batch(n)
-            arcs = _kernels.upper_arcs_batch(values)
-            chain = _kernels.chain_stats_batch(arcs)
-            negs = ((arcs[:, :, 0] < 0) & (arcs[:, :, 1] > 0)).sum(axis=1)
-            for key, idxs in _degree_groups(n).items():
-                counter = Counter(
-                    (int(chain[i, 0]), int(chain[i, 1]), int(negs[i])) for i in idxs
-                )
-                for stat_key, count in sorted(counter.items()):
-                    swapped = (stat_key[1], stat_key[0], stat_key[2])
-                    other = counter.get(swapped, 0)
-                    if other != count and (stat_key < swapped or other == 0):
-                        bad.append({
-                            "n": n,
-                            "degree_sequence": _degree_bytes_to_string(key, n),
-                            "key": list(stat_key),
-                            "count": count,
-                            "swapped_key": list(swapped),
-                            "swapped_count": other,
-                        })
+            cells = _sweep(n, ("degree", "cro_star", "nes_star"))
+            for key, count, swapped, other in _unbalanced(cells, 1, 2):
+                degree, negs = _degree_class(key[0], n)
+                bad.append({
+                    "n": n,
+                    "degree_sequence": degree,
+                    "key": [key[1], key[2], negs],
+                    "count": count,
+                    "swapped_key": [swapped[1], swapped[2], negs],
+                    "swapped_count": other,
+                })
         return bad
 
     bad, elapsed = _timed(run)
@@ -296,11 +308,7 @@ def max_crossing_count(n: int) -> int:
     """Number of rank-n permutations whose largest crossing chain uses
     every arc, by enumeration; ranks outside the guard raise RankTooLarge
     because no count beyond it is backed by enumeration or proof."""
-    count = 0
-    for values in _signed_value_blocks(n):
-        chain = _kernels.chain_stats_batch(_kernels.upper_arcs_batch(values))
-        count += int((chain[:, 0] == n).sum())
-    return count
+    return distribution(n, ("cro_star",)).count((n,))
 
 
 def verify_max_crossing_counts(n_max: int = 6) -> VerificationReport:
@@ -399,13 +407,10 @@ def verify_avoider_symmetry(max_rows: int = 4, max_cols: int = 4,
 def _involution_failures_for(p: SignedPermutation, which: Literal["pair", "chain"]) -> list[dict]:
     failures = []
     apply = crossing_nesting_involution if which == "pair" else max_chain_involution
-    stats = (
-        (lambda q: (cro(q), nes(q)))
-        if which == "pair"
-        else (lambda q: max_chain_sizes(q))
-    )
+    stats = _cro_nes if which == "pair" else max_chain_sizes
     image = apply(p)
-    before, after = stats(p), stats(image)
+    diagram, image_diagram = upper_diagram(p), upper_diagram(image)
+    before, after = stats(diagram), stats(image_diagram)
     if (after[0], after[1]) != (before[1], before[0]):
         failures.append({
             "permutation": str(p),
@@ -427,12 +432,13 @@ def _involution_failures_for(p: SignedPermutation, which: Literal["pair", "chain
             "before": neg(p),
             "after": neg(image),
         })
-    if str(degree_sequence(image)) != str(degree_sequence(p)):
+    degrees = degree_sequence(diagram), degree_sequence(image_diagram)
+    if degrees[0] != degrees[1]:
         failures.append({
             "permutation": str(p),
             "failure": "degree_preservation",
-            "before": str(degree_sequence(p)),
-            "after": str(degree_sequence(image)),
+            "before": str(degrees[0]),
+            "after": str(degrees[1]),
         })
     back = apply(image)
     if back != p:

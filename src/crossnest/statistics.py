@@ -78,16 +78,21 @@ def pair_kind_counts(x: SignedPermutation | UpperDiagram) -> dict[PairKind, int]
     return counts
 
 
+def _cro_nes(x: SignedPermutation | UpperDiagram) -> tuple[int, int]:
+    """(crossing number, nesting number) from one pass over the pairs."""
+    counts = pair_kind_counts(x)
+    return (counts[PairKind.PROPER_CROSSING] + counts[PairKind.SKEW_CROSSING],
+            counts[PairKind.PROPER_NESTING] + counts[PairKind.SKEW_NESTING])
+
+
 def cro(x: SignedPermutation | UpperDiagram) -> int:
     """Crossing number: arc pairs in proper or skew crossing position."""
-    counts = pair_kind_counts(x)
-    return counts[PairKind.PROPER_CROSSING] + counts[PairKind.SKEW_CROSSING]
+    return _cro_nes(x)[0]
 
 
 def nes(x: SignedPermutation | UpperDiagram) -> int:
     """Nesting number: arc pairs in proper or skew nesting position."""
-    counts = pair_kind_counts(x)
-    return counts[PairKind.PROPER_NESTING] + counts[PairKind.SKEW_NESTING]
+    return _cro_nes(x)[1]
 
 
 class ChainKind(Enum):

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from goldens import EX1, EX1_IMAGE, EX2, EX2_DEGREE
 
-from crossnest import fillings
+from crossnest import enumeration, fillings
 from crossnest.cli import main
 
 
@@ -184,6 +185,15 @@ class TestDistribution:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_degree_code_is_not_a_statistic(self, capsys):
+        code, out, err = run_cli(capsys, "distribution", "--n", "2", "--schema", "degree")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+
+# sha256 of `crossnest enumerate --n 3` as written before the output streamed
+ENUMERATE_3_SHA256 = "3b0e4516c74e528bb9c1f469d21cd66ab1af2f8611dbbf0b04353f9e4137c4ca"
+
 
 class TestEnumerate:
     def test_rank_one(self, capsys):
@@ -194,3 +204,21 @@ class TestEnumerate:
     def test_rank_guard(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "9")
         assert code == 2
+
+    def test_streams_the_same_bytes(self, capsys, monkeypatch, tmp_path):
+        def refuse(n):
+            raise AssertionError(f"whole rank {n} built")
+        monkeypatch.setattr(enumeration, "signed_values_batch", refuse)
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_3_SHA256
+        target = tmp_path / "b3.txt"
+        code, out_file, _ = run_cli(capsys, "enumerate", "--n", "3", "--out", str(target))
+        assert code == 0 and out_file == ""
+        assert target.read_text() == out
+
+    def test_rank_guard_writes_no_file(self, capsys, tmp_path):
+        target = tmp_path / "b9.txt"
+        code, _, _ = run_cli(capsys, "enumerate", "--n", "9", "--out", str(target))
+        assert code == 2
+        assert not target.exists()

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from crossnest import (
     verify_pair_symmetry,
     wex,
 )
-from crossnest import enumeration
+from crossnest import _kernels, enumeration
 from crossnest.enumeration import BLOCK_ROWS, report_to_json, signed_values_batch
 from crossnest.errors import RankTooLarge, UnknownStatistic
 
@@ -44,6 +45,14 @@ def oracle_rows(n):
          "cro_star": cro_star_brute(p), "nes_star": nes_star_brute(p)}
         for p in enumerate_bn(n)
     ]
+
+
+def documented_order(n):
+    """Rank-n one-line tuples in the documented order: magnitude
+    permutations lexicographic outermost, sign masks in binary order
+    inner, bit j of the mask negating position j+1."""
+    return [tuple(-m if mask >> j & 1 else m for j, m in enumerate(mags))
+            for mags in permutations(range(1, n + 1)) for mask in range(2 ** n)]
 
 
 class TestEnumeration:
@@ -69,6 +78,14 @@ class TestEnumeration:
             list(enumerate_bn(9))
         with pytest.raises(RankTooLarge):
             list(enumerate_bn(0))
+
+    def test_streams_without_the_whole_table(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"whole rank {n} built")
+        monkeypatch.setattr(enumeration, "signed_values_batch", refuse)
+        perms = list(enumerate_bn(4))
+        assert [p.values for p in perms] == documented_order(4)
+        assert all(type(v) is int for p in perms for v in p.values)
 
     @pytest.mark.parametrize("n", [1, 4, 6])
     def test_blocks_concatenate_to_the_batch(self, n):
@@ -111,6 +128,10 @@ class TestDistribution:
         for n in (0, 9):
             with pytest.raises(RankTooLarge):
                 distribution(n)
+
+    def test_degree_code_is_not_a_statistic(self):
+        with pytest.raises(UnknownStatistic):
+            distribution(2, ("degree",))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("schema", [
@@ -210,6 +231,70 @@ class TestChainSymmetry:
                 key = (cro_star(p), nes_star(p), neg(p))
                 counts[key] = counts.get(key, 0) + 1
         assert counts[(4, 2, 2)] == counts[(2, 4, 2)] >= 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_class_tables_match_object_level_oracles(self, n):
+        expected = Counter(
+            (str(degree_sequence(p)), row["cro_star"], row["nes_star"], row["neg"])
+            for p, row in zip(enumerate_bn(n), oracle_rows(n))
+        )
+        cells = enumeration._sweep(n, ("degree", "cro_star", "nes_star"))
+        got = {}
+        for (code, cs, ns), count in cells.items():
+            degree, negs = enumeration._degree_class(code, n)
+            got[(degree, cs, ns, negs)] = count
+        assert len(got) == len(cells)
+        assert got == dict(expected)
+
+
+def class_counts(n_max, key):
+    counts = Counter()
+    for n in range(1, n_max + 1):
+        for p in enumerate_bn(n):
+            counts[(n, str(degree_sequence(p))) + key(p)] += 1
+    return counts
+
+
+class TestForcedAsymmetry:
+    """A kernel that breaks the symmetry must make the verifier fail,
+    with counterexamples that name real classes and counts."""
+
+    def test_chain_kernel(self, monkeypatch):
+        real = _kernels.chain_stats_batch
+        # nes_star pinned to 1: a class with a longer crossing chain has
+        # no mirror cell
+        monkeypatch.setattr(_kernels, "chain_stats_batch",
+                            lambda arcs: real(arcs) * [1, 0] + [0, 1])
+        report = verify_chain_symmetry(3)
+        assert not report.passed and report.counterexamples
+        counts = class_counts(3, lambda p: (cro_star(p), 1, neg(p)))
+        negs = {(n, degree): ng for n, degree, _, _, ng in counts}
+        for bad in report.counterexamples:
+            assert list(bad) == ["n", "degree_sequence", "key", "count",
+                                 "swapped_key", "swapped_count"]
+            n, degree, key = bad["n"], bad["degree_sequence"], bad["key"]
+            assert key[2] == bad["swapped_key"][2] == negs[(n, degree)]
+            assert bad["swapped_key"][:2] == [key[1], key[0]]
+            assert bad["count"] == counts[(n, degree, *key)]
+            assert bad["swapped_count"] == counts[(n, degree, *bad["swapped_key"])]
+        assert report_to_json(report) == report_to_json(verify_chain_symmetry(3))
+
+    def test_pair_kernel(self, monkeypatch):
+        real = _kernels.pair_stats_batch
+        # nes pinned to 0
+        monkeypatch.setattr(_kernels, "pair_stats_batch",
+                            lambda arcs: real(arcs) * [1, 0, 1, 1])
+        report = verify_pair_symmetry(3)
+        assert not report.passed and report.counterexamples
+        counts = Counter((p.n, 0, cro(p), wex(p), neg(p))
+                         for n in range(1, 4) for p in enumerate_bn(n))
+        for bad in report.counterexamples:
+            assert list(bad) == ["n", "key", "count", "swapped_key", "swapped_count"]
+            key, swapped = bad["key"], bad["swapped_key"]
+            assert swapped == [key[1], key[0], key[2], key[3]]
+            assert bad["count"] == counts[(bad["n"], *key)]
+            assert bad["swapped_count"] == counts[(bad["n"], *swapped)]
+        assert report_to_json(report) == report_to_json(verify_pair_symmetry(3))
 
 
 class TestMaxCrossingCount:

@@ -51,11 +51,3 @@ def test_python_chain_stats_match_reference(n):
     got = K.chain_stats_batch(arcs)
     assert (got == ref[:, 4:]).all()
 
-
-def test_degree_table_counts():
-    arcs = K.upper_arcs_batch(signed_values_batch(3))
-    table = K.degree_table_batch(arcs)
-    assert table.shape == (48, 6, 2)
-    # every permutation has n in-slots and n out-slots
-    assert (table[:, :, 0].sum(axis=1) == 3).all()
-    assert (table[:, :, 1].sum(axis=1) == 3).all()
