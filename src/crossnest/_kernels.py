@@ -7,7 +7,7 @@ by start within each row; `enumeration` feeds them blocks of about
 `BLOCK_ROWS` rows, so P stays small whatever the rank.  The pair
 statistics loop over the n(n-1)/2 column pairs of the table, each step
 a few operations on 1-D columns of length P; the chain statistics run
-the DP of `statistics` row by row, on plain lists.
+the patience sorting of `statistics` row by row, on plain lists.
 
 The subset brute-force oracles in `statistics` are deliberately not
 accelerated; they exist to check these kernels, not to race them.

@@ -17,6 +17,7 @@ from contextlib import nullcontext
 from .core import degree_sequence, neg, parse_permutation, upper_diagram, wex
 from .enumeration import (
     STAT_NAMES,
+    VerificationReport,
     distribution,
     enumerate_bn,
     report_to_json,
@@ -40,7 +41,7 @@ from .fillings import (
     xi,
 )
 from .involution import crossing_nesting_involution
-from .statistics import cro, max_chain_sizes, nes
+from .statistics import _cro_nes, max_chain_sizes
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -60,16 +61,18 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _stats_payload(p) -> dict:
-    cro_s, nes_s = max_chain_sizes(p)
+    d = upper_diagram(p)
+    cro_n, nes_n = _cro_nes(d)
+    cro_s, nes_s = max_chain_sizes(d)
     return {
         "n": p.n,
         "wex": wex(p),
         "neg": neg(p),
-        "cro": cro(p),
-        "nes": nes(p),
+        "cro": cro_n,
+        "nes": nes_n,
         "cro_star": cro_s,
         "nes_star": nes_s,
-        "degree_sequence": str(degree_sequence(p)),
+        "degree_sequence": str(degree_sequence(d)),
     }
 
 
@@ -157,22 +160,15 @@ def cmd_verify(args) -> int:
         bound = 3 if n is None else n
         pair = verify_involution_properties(bound, "pair")
         chain = verify_involution_properties(bound, "chain")
-        bad = []
-        for tag, rep in (("theorem24", pair), ("theta", chain)):
-            bad.extend(dict(entry, map=tag) for entry in rep.counterexamples)
-        merged = {
-            "claim": "involutions",
-            "parameters": {"n_max": bound},
-            "passed": pair.passed and chain.passed,
-            "counterexamples": bad,
-            "info": {
-                "pair_checked": pair.info,
-                "chain_checked": chain.info,
-            },
-        }
-        _write(json.dumps(merged, indent=2) + "\n", args.out)
-        return EXIT_OK if merged["passed"] else EXIT_VERIFY_FAIL
-
+        report = VerificationReport(
+            claim="involutions",
+            parameters={"n_max": bound},
+            passed=pair.passed and chain.passed,
+            counterexamples=[dict(entry, map=tag)
+                             for tag, rep in (("theorem24", pair), ("theta", chain))
+                             for entry in rep.counterexamples],
+            info={"pair_checked": pair.info, "chain_checked": chain.info},
+        )
     _write(report_to_json(report) + "\n", args.out)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 

@@ -14,7 +14,8 @@ class CrossNestError(Exception):
 # --- input validation ---------------------------------------------------
 
 class MalformedToken(CrossNestError, ValueError):
-    """A permutation token is not a signed decimal integer."""
+    """A permutation or filling token is not a signed decimal integer, or
+    a filling cell line does not have exactly two fields."""
 
 
 class ZeroEntry(CrossNestError, ValueError):

@@ -45,6 +45,7 @@ from .errors import (
     CellOutsideShape,
     InconsistentGrowth,
     InfeasibleSums,
+    MalformedToken,
     MissingDiagramLists,
     RowColumnSumViolation,
 )
@@ -313,12 +314,21 @@ def parse_filling_text(text: str) -> YoungFilling:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise CellOutsideShape("empty filling text")
-    shape = tuple(int(tok) for tok in lines[0].split(","))
+    shape = _int_fields(lines[0])
     ones = set()
     for ln in lines[1:]:
-        r, c = (int(tok) for tok in ln.split(","))
-        ones.add((r, c))
+        cell = _int_fields(ln)
+        if len(cell) != 2:
+            raise MalformedToken(f"cell line {ln!r} is not row,column")
+        ones.add(cell)
     return YoungFilling(shape, frozenset(ones))
+
+
+def _int_fields(line: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in line.split(","))
+    except ValueError:
+        raise MalformedToken(f"filling line {line!r} holds a non-integer token") from None
 
 
 # --- exact pattern-avoidance counting ------------------------------------

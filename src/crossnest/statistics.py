@@ -11,12 +11,13 @@ nesting numbers are plain pattern counts over arc pairs.
 Chains generalise pairs: a k-crossing is k arcs with both endpoints
 strictly increasing and every start at most every end; a k-nesting is k
 arcs nested strictly inside one another, innermost possibly a loop.
-Maximal chain sizes are computed twice here, by a small DP and by brute
-force over arc subsets, so each can check the other.
+Maximal chain sizes are computed twice here, by patience sorting and by
+brute force over arc subsets, so each can check the other.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -153,53 +154,40 @@ def _chain_sizes(starts: list[int], ends: list[int]) -> tuple[int, int]:
     """(largest crossing chain, largest nesting chain) of arcs sorted by
     start, given as plain lists; the batch kernel runs it row by row.
 
-    Crossing: fixing the first arc f and last arc l of a candidate chain,
-    the chain condition collapses to s_l <= e_f (shared vertex positive),
-    and the arcs in between form a longest strictly-increasing run of
-    ends inside the index window, which is a plain LIS count.
-    Nesting: the longest strict containment chain.
+    Ends are distinct, and each run below is patience sorting: `tops[i]`
+    is the smallest last key of a strictly increasing run of length i + 1.
+    Crossing: the first arc f of a chain has the smallest end, so the
+    chain condition says every later arc starts no later than e_f (on a
+    shared vertex only when it is positive) and ends beyond it; those
+    arcs carry the longest rising run of ends.
+    Nesting: starts rise with the index and a loop can only be innermost,
+    so a nesting chain is a falling run of ends.
     """
     m = len(starts)
     best_cross = 0
     for f in range(m):
         ef = ends[f]
-        for l in range(f, m):
-            sl = starts[l]
-            if sl > ef or (sl == ef and f != l and sl < 0):
-                continue
-            if f == l:
-                if best_cross < 1:
-                    best_cross = 1
-                continue
-            el = ends[l]
-            if el <= ef:
-                continue
-            window = [0] * (l - f + 1)
-            window[0] = 1
-            for g in range(f + 1, l + 1):
-                eg = ends[g]
-                if eg <= ef or eg > el:
-                    continue
-                reach = 0
-                for h in range(f, g):
-                    w = window[h - f]
-                    if w > reach and ends[h] < eg:
-                        reach = w
-                if reach:
-                    window[g - f] = reach + 1
-            if window[l - f] > best_cross:
-                best_cross = window[l - f]
-    best_nest = 0
-    depth = [1] * m
-    for j in range(m):
-        sj = starts[j]
-        ej = ends[j]
-        for i in range(j):
-            if starts[i] < sj and ej < ends[i] and depth[i] + 1 > depth[j]:
-                depth[j] = depth[i] + 1
-        if depth[j] > best_nest:
-            best_nest = depth[j]
-    return best_cross, best_nest
+        tops: list[int] = []
+        for g in range(f + 1, m):
+            sg = starts[g]
+            if sg > ef or (sg == ef and sg < 0):
+                break
+            eg = ends[g]
+            if eg > ef:
+                i = bisect_left(tops, eg)
+                if i == len(tops):
+                    tops.append(eg)
+                else:
+                    tops[i] = eg
+        best_cross = max(best_cross, len(tops) + 1)
+    tops = []
+    for e in ends:
+        i = bisect_left(tops, -e)
+        if i == len(tops):
+            tops.append(-e)
+        else:
+            tops[i] = -e
+    return best_cross, len(tops)
 
 
 def max_chain_sizes(x: SignedPermutation | UpperDiagram) -> tuple[int, int]:

@@ -5,7 +5,21 @@ import pytest
 
 from goldens import EX1, EX1_IMAGE, EX2, EX2_DEGREE
 
-from crossnest import enumeration, fillings
+from crossnest import (
+    cli,
+    core,
+    cro,
+    cro_star,
+    degree_sequence,
+    enumeration,
+    fillings,
+    neg,
+    nes,
+    nes_star,
+    parse_permutation,
+    upper_diagram,
+    wex,
+)
 from crossnest.cli import main
 
 
@@ -40,6 +54,28 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", "2,2")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("text", [EX1, EX2])
+    def test_json_matches_public_statistics(self, capsys, text):
+        p = parse_permutation(text)
+        expected = {
+            "n": p.n, "wex": wex(p), "neg": neg(p), "cro": cro(p), "nes": nes(p),
+            "cro_star": cro_star(p), "nes_star": nes_star(p),
+            "degree_sequence": str(degree_sequence(p)),
+        }
+        _, out, _ = run_cli(capsys, "stats", text, "--json")
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_one_diagram_per_payload(self, capsys, monkeypatch):
+        built = []
+
+        def counted(p):
+            built.append(p)
+            return upper_diagram(p)
+        monkeypatch.setattr(core, "upper_diagram", counted)
+        monkeypatch.setattr(cli, "upper_diagram", counted)
+        run_cli(capsys, "stats", EX1)
+        assert len(built) == 1
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "stats", EX1, "--json")
@@ -94,6 +130,15 @@ class TestFillAndTheta:
         code, restored, _ = run_cli(capsys, "theta", "--from-filling", str(back))
         assert restored == filled
 
+    @pytest.mark.parametrize("text", ["2,1\n1,x\n", "2,1\n1,1,1\n"])
+    def test_theta_malformed_filling_is_usage_error(self, capsys, tmp_path, text):
+        src = tmp_path / "bad.txt"
+        src.write_text(text)
+        code, out, err = run_cli(capsys, "theta", "--from-filling", str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_theta_internal_error_exits_3(self, capsys, monkeypatch):
         # doubled border labels break the backward rules at the first corner
         monkeypatch.setattr(fillings, "_conjugate", lambda lam: tuple(2 * v for v in lam))
@@ -106,6 +151,30 @@ class TestFillAndTheta:
         code, out, _ = run_cli(capsys, "fill", EX2, "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[0] == "6,6,6,6,4,3"
+
+
+# `crossnest verify involutions --n 2`, as written when the merged report
+# was built by hand
+INVOLUTIONS_2_REPORT = """\
+{
+  "claim": "involutions",
+  "parameters": {
+    "n_max": 2
+  },
+  "passed": true,
+  "counterexamples": [],
+  "info": {
+    "pair_checked": {
+      "permutations_checked": 10
+    },
+    "chain_checked": {
+      "permutations_checked": 10
+    }
+  }
+}
+"""
+# sha256 of the same report with the pair map replaced by the identity
+INVOLUTIONS_2_FAILURE_SHA256 = "bec06c5486e7dce7398f047d91365eee97ef41a6cf5b0734baf30923b701f9e7"
 
 
 class TestVerify:
@@ -136,8 +205,16 @@ class TestVerify:
     def test_involutions_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "involutions", "--n", "2")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["passed"] is True
+        assert json.loads(out)["passed"] is True
+        assert out == INVOLUTIONS_2_REPORT
+
+    def test_involutions_failure_report_bytes(self, capsys, monkeypatch):
+        # an identity "pair map" fails the swap wherever cro != nes
+        monkeypatch.setattr(enumeration, "crossing_nesting_involution", lambda p: p)
+        code, out, _ = run_cli(capsys, "verify", "involutions", "--n", "2")
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == INVOLUTIONS_2_FAILURE_SHA256
+        assert {entry["map"] for entry in json.loads(out)["counterexamples"]} == {"theorem24"}
 
     # lemma41's --n counts desk rows, which have no upper guard
     @pytest.mark.parametrize("claim,n", [

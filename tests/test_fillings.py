@@ -40,6 +40,7 @@ from crossnest import (
 from crossnest.errors import (
     InconsistentGrowth,
     InfeasibleSums,
+    MalformedToken,
     MissingDiagramLists,
     RowColumnSumViolation,
 )
@@ -285,6 +286,16 @@ class TestFillingText:
     def test_format_layout(self):
         f = YoungFilling((2, 1), frozenset({(1, 2), (2, 1)}))
         assert filling_to_text(f) == "2,1\n1,2\n2,1\n"
+
+    @pytest.mark.parametrize("text", [
+        "2,1\n1,x\n",     # a token that is not an integer
+        "2,x\n1,1\n",     # the same in the shape line
+        "2,1\n1,1,1\n",   # a cell line with three fields
+        "2,1\n1\n",       # a cell line with one field
+    ])
+    def test_malformed_text_is_typed(self, text):
+        with pytest.raises(MalformedToken):
+            parse_filling_text(text)
 
 
 class TestCountAvoiders:

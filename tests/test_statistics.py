@@ -158,6 +158,6 @@ class TestMaxChains:
                 assert nes_star(p) == nes_star_brute(p)
 
     @settings(max_examples=40)
-    @given(signed_permutations(min_n=5, max_n=6))
+    @given(signed_permutations(min_n=5, max_n=8))
     def test_dp_equals_brute_force_sampled(self, p):
         assert max_chain_sizes(p) == (cro_star_brute(p), nes_star_brute(p))
