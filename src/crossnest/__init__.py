@@ -3,9 +3,10 @@
 The library models a rank-n signed permutation by its upper arc
 diagram, computes the crossing/nesting pair statistics and the maximal
 chain statistics, implements the two involutions that interchange them
-(an opener-rerouting map for the pair counts, a growth-diagram map on
-Young fillings for the chain sizes), and verifies the
-symmetric-distribution claims by exhaustive enumeration at small rank.
+(a rank mirror over the vertex line for the pair counts, a
+growth-diagram map on Young fillings for the chain sizes), and
+verifies the symmetric-distribution claims by exhaustive enumeration
+at small rank.
 """
 
 from .core import (
@@ -22,7 +23,6 @@ from .core import (
     sigma_at,
     upper_diagram,
     vertex_kind,
-    vertex_kinds,
     wex,
 )
 from .enumeration import (
@@ -51,14 +51,7 @@ from .fillings import (
     xi_inverse,
     young_shape,
 )
-from .involution import (
-    SplitDiagram,
-    available_openers,
-    crossing_nesting_involution,
-    kz_transform,
-    split,
-    unsplit,
-)
+from .involution import crossing_nesting_involution
 from .statistics import (
     ChainKind,
     ChainWitness,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import nullcontext
 
@@ -27,12 +28,7 @@ from .enumeration import (
     verify_max_crossing_counts,
     verify_pair_symmetry,
 )
-from .errors import (
-    CrossNestError,
-    Desynchronized,
-    InconsistentGrowth,
-    UnmergeablePair,
-)
+from .errors import CrossNestError, Desynchronized, InconsistentGrowth
 from .fillings import (
     filling_to_text,
     growth_involution,
@@ -48,7 +44,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-INTERNAL_ERRORS = (Desynchronized, UnmergeablePair, InconsistentGrowth)
+INTERNAL_ERRORS = (Desynchronized, InconsistentGrowth)
+
+# argparse takes "-1,2" for an option: only "-1"-like tokens pass as numbers
+NEGATIVE_FIRST_PERM = re.compile(r"-\d+(\s*,\s*-?\d+)+")
 
 
 def _output(out: str | None):
@@ -252,9 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positional_perms(argv: list[str]) -> list[str]:
+    """Move each one-line permutation with a negative first entry and a
+    comma behind `--`, so that it parses as the positional `perm`."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    head, tail = argv[:cut], argv[cut + 1:]
+    perms = [tok for tok in head if NEGATIVE_FIRST_PERM.fullmatch(tok)]
+    if not perms:
+        return argv
+    return [tok for tok in head if tok not in perms] + ["--"] + perms + tail
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_positional_perms(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except INTERNAL_ERRORS as exc:

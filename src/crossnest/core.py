@@ -143,18 +143,6 @@ class UpperDiagram:
     def sorted_arcs(self) -> tuple[Arc, ...]:
         return tuple(sorted(self.arcs))
 
-    def out_arc(self, v: int) -> Arc | None:
-        for a in self.arcs:
-            if a.start == v:
-                return a
-        return None
-
-    def in_arc(self, v: int) -> Arc | None:
-        for a in self.arcs:
-            if a.end == v:
-                return a
-        return None
-
 
 def upper_diagram(p: SignedPermutation) -> UpperDiagram:
     """Upper arcs of p: for each i in 1..n the arc from i if s(i) >= i,
@@ -238,8 +226,8 @@ def degree_sequence(x: SignedPermutation | UpperDiagram) -> DegreeSequence:
 
 
 def vertex_kind(d: UpperDiagram, v: int) -> VertexKind:
-    has_out = d.out_arc(v) is not None
-    has_in = d.in_arc(v) is not None
+    has_out = any(a.start == v for a in d.arcs)
+    has_in = any(a.end == v for a in d.arcs)
     if has_out and has_in:
         return VertexKind.FIXED if Arc(v, v) in d.arcs else VertexKind.TRANSIENT
     if has_out:
@@ -247,24 +235,6 @@ def vertex_kind(d: UpperDiagram, v: int) -> VertexKind:
     if has_in:
         return VertexKind.CLOSER
     return VertexKind.ISOLATED
-
-
-def vertex_kinds(d: UpperDiagram) -> dict[int, VertexKind]:
-    return {v: vertex_kind(d, v) for v in vertices(d.n)}
-
-
-def fixed_vertices(d: UpperDiagram) -> frozenset[int]:
-    """Positive vertices carrying a loop."""
-    return frozenset(a.start for a in d.arcs if a.is_loop)
-
-
-def transient_vertices(d: UpperDiagram) -> frozenset[int]:
-    """Vertices with one incoming and one outgoing arc, loop excluded.
-    Both signs occur; callers that only want the positive ones filter.
-    """
-    starts = {a.start for a in d.arcs if not a.is_loop}
-    ends = {a.end for a in d.arcs if not a.is_loop}
-    return frozenset(starts & ends)
 
 
 def neg(p: SignedPermutation) -> int:

@@ -53,10 +53,6 @@ class InconsistentDiagram(CrossNestError, ValueError):
     """An arc set does not describe any signed permutation."""
 
 
-class NotACloser(CrossNestError, ValueError):
-    """The queried vertex has no incoming arc."""
-
-
 class CellOutsideShape(CrossNestError, ValueError):
     """A filled cell falls outside the Young shape."""
 
@@ -72,13 +68,9 @@ class MissingDiagramLists(CrossNestError, ValueError):
 
 # --- internal pipeline errors -------------------------------------------
 
-class UnmergeablePair(CrossNestError, RuntimeError):
-    """Collapsing a companion vertex pair would exceed degree one."""
-
-
 class Desynchronized(CrossNestError, RuntimeError):
-    """Opener bookkeeping diverged between source and image during the
-    left-to-right rerouting scan; indicates an implementation bug."""
+    """A closer's partner is not among the open arcs of the rank-mirror
+    scan of the pair involution; indicates an implementation bug."""
 
 
 class InconsistentGrowth(CrossNestError, RuntimeError):

@@ -1,184 +1,54 @@
 """The crossing/nesting interchanging involution on signed permutations.
 
-It is built from three pieces.  First a split map: every loop (i,i)
-becomes a short arc (i,i') to a fresh companion vertex placed right
-after i, and every positive transient vertex j is pulled apart so that
-its incoming arc lands on the companion j' while its outgoing arc keeps
-j; the two replacement arcs then cross properly.  After the split no
-vertex of the diagram is a loop or a positive transient, so crossings
-and nestings are the plain four-vertex patterns.
+It is a rank mirror over the vertex line.  Scan -n, ..., -1, 1, ..., n
+left to right and keep the arcs still open, oldest first: one list for
+the source diagram and one for the image.  At each closer, the
+partner's rank r among the open source arcs is mirrored: the image
+closes the arc of rank k-1-r among its own k open arcs.  Closing the
+j-th oldest of k open arcs makes k-j crossings and j-1 nestings with
+the arcs left open, so the mirror swaps the two counts at every closer.
 
-Second, a rerouting scan over the split diagram: walking the vertex
-line left to right, each incoming arc (s, k) is replaced by (t, k)
-where t is picked among the openers still unmatched in the image so
-that the number of available openers before t in the image equals the
-number of available openers after s in the source.  Reversing the rank
-like this turns every proper crossing into a proper nesting and back,
-while openers, closers and (negative) transients keep their positions,
-so the degree data of the diagram survives untouched.
-
-Third, the split is undone.  The composite is an involution on signed
-permutations of fixed rank that swaps the crossing and nesting numbers
-and preserves weak exceedances, the number of negative entries, and the
-degree sequence.
+A positive vertex that opens joins the lists before it closes, so its
+loop is the newest choice, nested by every open arc.  A negative
+vertex that opens joins them after it closes.  Openers, closers and
+transients keep their places, so the map fixes the degree sequence,
+weak exceedances and negative entries.  Mirroring twice gives the
+identity, so the map is an involution by construction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import (
     Arc,
     SignedPermutation,
     UpperDiagram,
-    fixed_vertices,
     permutation_from_upper,
-    transient_vertices,
     upper_diagram,
     vertices,
 )
-from .errors import Desynchronized, NotACloser, UnmergeablePair
-
-
-class Label(NamedTuple):
-    """Vertex label on the split line; companions sort right after their
-    vertex because False < True."""
-
-    vertex: int
-    primed: bool = False
-
-    def __str__(self) -> str:
-        return f"{self.vertex}'" if self.primed else str(self.vertex)
-
-
-SplitArc = tuple[Label, Label]
-
-
-@dataclass(frozen=True)
-class SplitDiagram:
-    """Arc diagram over the extended vertex line produced by split().
-
-    After splitting, every vertex is isolated, an opener, a closer, or a
-    negative transient; loops and positive transients are gone.
-    """
-
-    n: int
-    labels: tuple[Label, ...]          # total order, left to right
-    arcs: frozenset[SplitArc]
-    fixed: frozenset[int]              # loops that were split
-    transients: frozenset[int]         # positive transients that were split
-    source: UpperDiagram | None = None
-
-    def out_end(self, label: Label) -> Label | None:
-        for a, b in self.arcs:
-            if a == label:
-                return b
-        return None
-
-    def in_start(self, label: Label) -> Label | None:
-        for a, b in self.arcs:
-            if b == label:
-                return a
-        return None
-
-
-def split(d: UpperDiagram) -> SplitDiagram:
-    """Open up loops and positive transients with companion vertices."""
-    fixed = fixed_vertices(d)
-    pos_transients = frozenset(v for v in transient_vertices(d) if v > 0)
-    labels = []
-    for v in vertices(d.n):
-        labels.append(Label(v))
-        if v in fixed or v in pos_transients:
-            labels.append(Label(v, True))
-    arcs: set[SplitArc] = set()
-    for a in d.arcs:
-        if a.is_loop:
-            arcs.add((Label(a.start), Label(a.start, True)))
-        else:
-            # incoming arcs of a split transient are re-aimed at the
-            # companion; outgoing arcs always keep the original vertex
-            end = Label(a.end, a.end in pos_transients)
-            arcs.add((Label(a.start), end))
-    return SplitDiagram(
-        n=d.n,
-        labels=tuple(labels),
-        arcs=frozenset(arcs),
-        fixed=fixed,
-        transients=pos_transients,
-        source=d,
-    )
-
-
-def unsplit(s: SplitDiagram) -> UpperDiagram:
-    """Collapse each companion pair back onto its vertex."""
-    merged = []
-    seen_starts: set[int] = set()
-    seen_ends: set[int] = set()
-    for a, b in s.arcs:
-        start, end = a.vertex, b.vertex
-        if start in seen_starts or end in seen_ends:
-            raise UnmergeablePair(
-                f"merging companions gives two arcs at vertex {start if start in seen_starts else end}"
-            )
-        seen_starts.add(start)
-        seen_ends.add(end)
-        merged.append(Arc(start, end))
-    return UpperDiagram(s.n, frozenset(merged))
-
-
-def available_openers(s: SplitDiagram, closer: Label) -> list[Label]:
-    """Openers left of `closer` whose matched end lies at or after it:
-    the vacant vertices for that position plus the closer's own partner,
-    in left-to-right order."""
-    if s.in_start(closer) is None:
-        raise NotACloser(f"vertex {closer} has no incoming arc")
-    out = []
-    for a, b in sorted(s.arcs):
-        if a < closer <= b:
-            out.append(a)
-    return out
-
-
-def kz_transform(s: SplitDiagram) -> SplitDiagram:
-    """Rerouting scan; an involution on split diagrams that exchanges
-    proper crossings and proper nestings and fixes every vertex kind.
-
-    At each vertex k with an incoming source arc (s, k), the partner s
-    sits at some rank among the openers available at k in the source;
-    the image connects k to the opener holding the mirrored rank among
-    the openers still unmatched in the image.
-    """
-    in_start = {b: a for a, b in s.arcs}
-    new_arcs: set[SplitArc] = set()
-    open_in_image: list[Label] = []    # kept sorted; all entries < scan point
-    for k in s.labels:
-        partner = in_start.get(k)
-        if partner is not None:
-            avail = available_openers(s, k)
-            if len(avail) != len(open_in_image):
-                raise Desynchronized(
-                    f"at {k}: {len(avail)} available in source, "
-                    f"{len(open_in_image)} in image"
-                )
-            rank = avail.index(partner)
-            t = open_in_image[len(avail) - 1 - rank]
-            new_arcs.add((t, k))
-            open_in_image.remove(t)
-        if s.out_end(k) is not None:
-            open_in_image.append(k)     # scan order keeps the list sorted
-    return SplitDiagram(
-        n=s.n,
-        labels=s.labels,
-        arcs=frozenset(new_arcs),
-        fixed=s.fixed,
-        transients=s.transients,
-        source=s.source,
-    )
+from .errors import Desynchronized
 
 
 def crossing_nesting_involution(p: SignedPermutation) -> SignedPermutation:
     """Swap (crossing number, nesting number), preserving weak
     exceedances, negative entries and the degree sequence."""
-    return permutation_from_upper(unsplit(kz_transform(split(upper_diagram(p)))))
+    d = upper_diagram(p)
+    partner = {a.end: a.start for a in d.arcs}
+    opens = {a.start for a in d.arcs}
+    source: list[int] = []     # open arcs by start, oldest first
+    image: list[int] = []
+    arcs = []
+    for v in vertices(d.n):
+        if v > 0 and v in opens:
+            source.append(v)
+            image.append(v)
+        if v in partner:
+            if partner[v] not in source:
+                raise Desynchronized(f"closer {v}: partner {partner[v]} is not open")
+            r = source.index(partner[v])
+            del source[r]
+            arcs.append(Arc(image.pop(len(image) - 1 - r), v))
+        if v < 0 and v in opens:
+            source.append(v)
+            image.append(v)
+    return permutation_from_upper(UpperDiagram(d.n, frozenset(arcs)))

@@ -27,6 +27,11 @@ EX1_IMAGE_UPPER = frozenset({
     Arc(-6, 3), Arc(-5, -1), Arc(-2, 5), Arc(1, 2), Arc(3, 4), Arc(4, 6),
 })
 
+# sha256 of the pair-involution images, one line each, of every signed
+# permutation of ranks 1-5 in enumerate_bn order (4,282 lines), frozen
+# from the split/rerouting/unsplit map that the rank-mirror scan replaced
+PAIR_IMAGES_SHA256 = "86f847fa0550f4396d03c4c5191e039d25c068700cafc2194d8fa08bbb0b1c1c"
+
 # chain-swapped companion of EX2: same degree sequence, chains (2, 4)
 THETA_UPPER = frozenset({
     Arc(-6, 1), Arc(-5, -2), Arc(-4, 6), Arc(1, 5), Arc(2, 4), Arc(3, 3),

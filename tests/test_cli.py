@@ -153,6 +153,45 @@ class TestFillAndTheta:
         assert target.read_text().splitlines()[0] == "6,6,6,6,4,3"
 
 
+class TestNegativeFirstEntry:
+    """A permutation such as -1,2 parses as `perm`, not as an option."""
+
+    @pytest.mark.parametrize("command", ["stats", "involute", "fill", "theta"])
+    @pytest.mark.parametrize("perm", ["-1,2", "-2,-1", "-3,1,-2"])
+    def test_same_output_as_after_double_dash(self, capsys, command, perm):
+        code, expected, err = run_cli(capsys, command, "--", perm)
+        assert code == 0 and err == ""
+        assert run_cli(capsys, command, perm) == (0, expected, "")
+
+    @pytest.mark.parametrize("command", ["stats", "involute", "theta"])
+    def test_options_before_or_after(self, capsys, command):
+        code, expected, _ = run_cli(capsys, command, "--json", "--", "-1,2")
+        assert code == 0 and json.loads(expected)
+        assert run_cli(capsys, command, "-1,2", "--json") == (0, expected, "")
+        assert run_cli(capsys, command, "--json", "-1,2") == (0, expected, "")
+
+    def test_involute_map_option(self, capsys):
+        expected = run_cli(capsys, "involute", "--map", "theta", "--", "-2,-1")
+        assert expected[0] == 0
+        assert run_cli(capsys, "involute", "-2,-1", "--map", "theta") == expected
+
+    def test_out_option(self, capsys, tmp_path):
+        target = tmp_path / "fill.txt"
+        code, out, _ = run_cli(capsys, "fill", "-1,2", "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() == run_cli(capsys, "fill", "--", "-1,2")[1]
+
+    def test_single_negative_entry(self, capsys):
+        code, out, _ = run_cli(capsys, "stats", "-1", "--json")
+        assert code == 0
+        assert json.loads(out)["neg"] == 1
+
+    def test_bad_permutation_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "stats", "-1,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
 # `crossnest verify involutions --n 2`, as written when the merged report
 # was built by hand
 INVOLUTIONS_2_REPORT = """\

@@ -1,152 +1,80 @@
+import hashlib
+from types import SimpleNamespace
+
 import pytest
 
-from goldens import EX1, EX1_IMAGE, EX1_IMAGE_UPPER, EX1_UPPER
+from goldens import EX1, EX1_IMAGE, PAIR_IMAGES_SHA256
 
 from crossnest import (
     Arc,
     SignedPermutation,
-    SplitDiagram,
-    UpperDiagram,
-    available_openers,
+    VertexKind,
     cro,
     crossing_nesting_involution,
     degree_sequence,
     enumerate_bn,
     identity,
-    kz_transform,
+    involution,
     neg,
     nes,
     parse_permutation,
-    split,
-    unsplit,
     upper_diagram,
+    vertex_kind,
     wex,
 )
-from crossnest.errors import NotACloser, UnmergeablePair
-from crossnest.involution import Label
+from crossnest.cli import main
+from crossnest.errors import Desynchronized
 
 
-def L(v, primed=False):
-    return Label(v, primed)
+def unvalidated(n, arcs):
+    """An arc set that skips UpperDiagram's checks, for breaking the scan."""
+    return SimpleNamespace(n=n, arcs=frozenset(Arc(*a) for a in arcs))
 
 
-# split image of EX1's diagram: loop at 3 opened, transient 4 pulled apart
-EX1_SPLIT_ARCS = frozenset({
-    (L(-6), L(2)), (L(-5), L(-1)), (L(-2), L(6)),
-    (L(1), L(4, True)), (L(3), L(3, True)), (L(4), L(5)),
-})
-
-# its image under the rerouting scan
-EX1_KZ_ARCS = frozenset({
-    (L(-5), L(-1)), (L(1), L(2)), (L(-6), L(3, True)),
-    (L(3), L(4, True)), (L(-2), L(5)), (L(4), L(6)),
-})
-
-
-def bare_split(n, labels, arcs):
-    return SplitDiagram(
-        n=n,
-        labels=tuple(labels),
-        arcs=frozenset(arcs),
-        fixed=frozenset(),
-        transients=frozenset(),
-    )
-
-
-class TestSplit:
-    def test_example_one(self):
-        s = split(UpperDiagram(6, EX1_UPPER))
-        assert s.arcs == EX1_SPLIT_ARCS
-        assert s.fixed == {3}
-        assert s.transients == {4}
-        # companions sit right after their vertices
-        assert s.labels.index(L(3, True)) == s.labels.index(L(3)) + 1
-
-    def test_nothing_to_split(self):
-        d = upper_diagram(SignedPermutation((-2, -1)))
-        s = split(d)
-        assert s.arcs == {(L(-2), L(1)), (L(-1), L(2))}
-        assert s.fixed == frozenset() and s.transients == frozenset()
-
-    def test_rank_one_loop(self):
-        s = split(upper_diagram(identity(1)))
-        assert s.arcs == {(L(1), L(1, True))}
-
-    def test_negative_transient_untouched(self):
-        d = upper_diagram(SignedPermutation((-2, 1)))
-        s = split(d)
-        assert s.arcs == {(L(-2), L(-1)), (L(-1), L(2))}
-        assert L(-1, True) not in s.labels
-
-    def test_unsplit_round_trip(self):
-        for n in range(1, 5):
-            for p in enumerate_bn(n):
-                d = upper_diagram(p)
-                assert unsplit(split(d)) == d
-
-    def test_unsplit_of_rerouted_example(self):
-        s = split(UpperDiagram(6, EX1_UPPER))
-        redone = SplitDiagram(
-            n=6, labels=s.labels, arcs=EX1_KZ_ARCS,
-            fixed=s.fixed, transients=s.transients,
-        )
-        assert unsplit(redone).arcs == EX1_IMAGE_UPPER
-
-    def test_unmergeable_pair(self):
-        s = bare_split(2, [L(1), L(1, True), L(2), L(2, True)],
-                       [(L(1), L(2)), (L(1, True), L(2, True))])
-        with pytest.raises(UnmergeablePair):
-            unsplit(s)
-
-
-class TestAvailableOpeners:
-    def test_crossing_pair(self):
-        s = bare_split(4, [L(1), L(2), L(3), L(4)],
-                       [(L(1), L(3)), (L(2), L(4))])
-        assert available_openers(s, L(3)) == [L(1), L(2)]
-
-    def test_nesting_pair(self):
-        s = bare_split(4, [L(1), L(2), L(3), L(4)],
-                       [(L(2), L(3)), (L(1), L(4))])
-        assert available_openers(s, L(3)) == [L(1), L(2)]
-
-    def test_example_one_closer_two(self):
-        # -5 already closed at -1, so the vacant openers are -6, -2
-        # plus the partner 1
-        s = split(UpperDiagram(6, EX1_UPPER))
-        assert available_openers(s, L(2)) == [L(-6), L(-2), L(1)]
-
-    def test_not_a_closer(self):
-        s = bare_split(4, [L(1), L(2), L(3), L(4)],
-                       [(L(1), L(3)), (L(2), L(4))])
-        with pytest.raises(NotACloser):
-            available_openers(s, L(1))
-
-
-class TestRerouting:
+class TestScan:
     def test_two_crossing_becomes_two_nesting(self):
-        s = bare_split(4, [L(1), L(2), L(3), L(4)],
-                       [(L(1), L(3)), (L(2), L(4))])
-        assert kz_transform(s).arcs == {(L(2), L(3)), (L(1), L(4))}
+        p = SignedPermutation((-2, -1))     # arcs (-2,1), (-1,2)
+        image = crossing_nesting_involution(p)
+        assert upper_diagram(image).arcs == {Arc(-2, 2), Arc(-1, 1)}
+        assert (cro(p), nes(p), cro(image), nes(image)) == (1, 0, 0, 1)
 
-    def test_example_one_rerouting(self):
-        s = split(UpperDiagram(6, EX1_UPPER))
-        assert kz_transform(s).arcs == EX1_KZ_ARCS
+    def test_disjoint_arcs_are_a_fixed_point(self):
+        p = SignedPermutation((2, 1))       # arcs (-2,-1), (1,2)
+        assert crossing_nesting_involution(p) == p
 
-    def test_no_overlap_means_fixed_point(self):
-        s = bare_split(4, [L(1), L(2), L(3), L(4)],
-                       [(L(1), L(2)), (L(3), L(4))])
-        assert kz_transform(s).arcs == s.arcs
+    def test_loop_is_the_newest_choice(self):
+        # (-2,2) is open at 1, where the loop (1,1) is the newest choice:
+        # mirrored, 1 closes the oldest arc instead, and back again
+        nested = SignedPermutation((1, -2))
+        skew = SignedPermutation((2, -1))   # arcs (-2,1), (1,2)
+        assert crossing_nesting_involution(nested) == skew
+        assert crossing_nesting_involution(skew) == nested
+        assert (cro(nested), nes(nested), cro(skew), nes(skew)) == (0, 1, 1, 0)
 
-    def test_involution_on_split_diagrams(self):
-        for n in range(1, 5):
-            for p in enumerate_bn(n):
-                s = split(upper_diagram(p))
-                t = kz_transform(s)
-                assert kz_transform(t).arcs == s.arcs
-                # vertex kinds survive: same starts, same ends
-                assert {a for a, _ in t.arcs} == {a for a, _ in s.arcs}
-                assert {b for _, b in t.arcs} == {b for _, b in s.arcs}
+    def test_negative_transient_closes_before_it_opens(self):
+        # -1 closes (-3,-1) while -3 and -2 are open, then opens (-1,3)
+        p = SignedPermutation((-3, -2, 1))
+        image = crossing_nesting_involution(p)
+        assert image == SignedPermutation((-2, 1, -3))
+        assert upper_diagram(image).arcs == {Arc(-2, -1), Arc(-1, 2), Arc(-3, 3)}
+        assert vertex_kind(upper_diagram(image), -1) is VertexKind.TRANSIENT
+        assert (cro(p), nes(p), cro(image), nes(image)) == (2, 0, 0, 2)
+
+    def test_partner_not_open_is_desynchronized(self, monkeypatch):
+        # a loop at a negative vertex closes before it opens
+        monkeypatch.setattr(involution, "upper_diagram",
+                            lambda p: unvalidated(1, [(-1, -1)]))
+        with pytest.raises(Desynchronized) as info:
+            crossing_nesting_involution(identity(1))
+        assert isinstance(info.value, RuntimeError)
+        assert not isinstance(info.value, ValueError)
+
+    def test_desynchronized_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(involution, "upper_diagram",
+                            lambda p: unvalidated(2, [(2, 1), (-2, -1)]))
+        assert main(["involute", "1,2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and len(err.splitlines()) == 1
 
 
 class TestComposite:
@@ -163,8 +91,14 @@ class TestComposite:
         assert (cro(image), nes(image)) == (nes(p), cro(p))
         assert crossing_nesting_involution(image) == p
 
+    def test_images_match_pinned_map(self):
+        text = "".join(f"{crossing_nesting_involution(p)}\n"
+                       for n in range(1, 6) for p in enumerate_bn(n))
+        assert text.count("\n") == 4282
+        assert hashlib.sha256(text.encode()).hexdigest() == PAIR_IMAGES_SHA256
+
     def test_exhaustive_properties(self):
-        for n in range(1, 5):
+        for n in range(1, 6):
             for p in enumerate_bn(n):
                 image = crossing_nesting_involution(p)
                 assert (cro(image), nes(image)) == (nes(p), cro(p))
