@@ -6,18 +6,18 @@ kernels here work on int64 arc tables of shape (P, n, 2), arcs sorted
 by start within each row; `enumeration` feeds them blocks of about
 `BLOCK_ROWS` rows, so P stays small whatever the rank.  The pair
 statistics loop over the n(n-1)/2 column pairs of the table, each step
-a few operations on 1-D columns of length P; the chain statistics run
-the patience sorting of `statistics` row by row, on plain lists.
+a few operations on 1-D columns of length P; the chain statistics are
+DPs over the same column pairs (and, for crossings, the column triples
+between a chain's first arc and its last).
 
-The subset brute-force oracles in `statistics` are deliberately not
-accelerated; they exist to check these kernels, not to race them.
+The patience sorting and the subset brute-force oracles in `statistics`
+are deliberately not accelerated; they exist to check these kernels,
+not to race them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .statistics import _chain_sizes
 
 
 def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
@@ -69,10 +69,35 @@ def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
 # --- chain statistics: cro_star, nes_star --------------------------------
 
 def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
-    """(P, 2) table of (cro_star, nes_star); rows are converted to lists
-    one at a time so the batch is never held as Python objects."""
-    out = np.empty((arcs.shape[0], 2), dtype=np.int64)
-    for r in range(arcs.shape[0]):
-        out[r] = _chain_sizes(arcs[r, :, 0].tolist(), arcs[r, :, 1].tolist())
-    return out
+    """(P, 2) table of (cro_star, nes_star), by DPs over column pairs.
 
+    Crossing: the first arc f of a chain has the smallest end, so every
+    later arc g of it starts inside e_f (or on it, when that vertex is
+    positive) and ends beyond it.  For each f, run[g] is the longest such
+    chain from f that ends at g, or 0 when g cannot follow f; its last
+    step comes from an h between them with a smaller end.
+    Nesting: starts rise with the index and a loop can only be innermost,
+    so a nesting chain is a falling run of ends; fall[g] is the longest
+    one that ends at g.
+    """
+    S = np.ascontiguousarray(arcs[:, :, 0].T)
+    E = np.ascontiguousarray(arcs[:, :, 1].T)
+    n, p = S.shape
+    cro_star = np.ones(p, dtype=np.int64)
+    run = np.zeros((n, p), dtype=np.int64)
+    for f in range(n):
+        ef = E[f]
+        for g in range(f + 1, n):
+            sg, eg = S[g], E[g]
+            best = np.ones(p, dtype=np.int64)
+            for h in range(f + 1, g):
+                np.maximum(best, run[h] * (E[h] < eg), out=best)
+            allowed = ((sg < ef) | (sg == ef) & (sg > 0)) & (eg > ef)
+            run[g] = allowed * (best + 1)
+            np.maximum(cro_star, run[g], out=cro_star)
+    fall = np.ones((n, p), dtype=np.int64)
+    for g in range(n):
+        eg = E[g]
+        for h in range(g):
+            np.maximum(fall[g], (fall[h] + 1) * (E[h] > eg), out=fall[g])
+    return np.stack([cro_star, fall.max(axis=0)], axis=1)

@@ -121,14 +121,14 @@ def cmd_fill(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    if bool(args.perm) == bool(args.from_filling):
+        print("error: give either a permutation or --from-filling PATH", file=sys.stderr)
+        return EXIT_USAGE
     if args.from_filling:
         with open(args.from_filling) as fh:
             f = parse_filling_text(fh.read())
         _write(filling_to_text(growth_involution(f)), args.out)
         return EXIT_OK
-    if not args.perm:
-        print("error: give a permutation or --from-filling PATH", file=sys.stderr)
-        return EXIT_USAGE
     p = parse_permutation(args.perm)
     image = max_chain_involution(p)
     payload = {

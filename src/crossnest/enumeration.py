@@ -36,7 +36,7 @@ from .core import (
     upper_diagram,
     wex,
 )
-from .errors import RankTooLarge, UnknownStatistic
+from .errors import RankTooLarge, RepeatedStatistic, UnknownStatistic
 from .fillings import max_chain_involution
 from .involution import crossing_nesting_involution
 from .statistics import _cro_nes, max_chain_sizes
@@ -195,6 +195,10 @@ def distribution(n: int, schema: tuple[str, ...] = ("nes", "cro", "wex", "neg"))
     if unknown:
         raise UnknownStatistic(
             f"unknown statistics {sorted(unknown)}; pick from {','.join(STAT_NAMES)}")
+    repeated = sorted({name for name in schema if schema.count(name) > 1})
+    if repeated:
+        # a JSON row would keep one column per name and drop the repeats
+        raise RepeatedStatistic(f"statistics named more than once: {repeated}")
     _check_rank(n)
     cells = _sweep(n, schema)
     return DistributionTable(schema, cells, sum(cells.values()))

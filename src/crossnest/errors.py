@@ -39,6 +39,10 @@ class UnknownStatistic(CrossNestError, ValueError):
     """A distribution schema names a statistic the package does not know."""
 
 
+class RepeatedStatistic(CrossNestError, ValueError):
+    """A distribution schema names a statistic more than once."""
+
+
 class InfeasibleSums(CrossNestError, ValueError):
     """Prescribed row/column sums cannot be met by any 0/1 filling."""
 

@@ -11,8 +11,10 @@ nesting numbers are plain pattern counts over arc pairs.
 Chains generalise pairs: a k-crossing is k arcs with both endpoints
 strictly increasing and every start at most every end; a k-nesting is k
 arcs nested strictly inside one another, innermost possibly a loop.
-Maximal chain sizes are computed twice here, by patience sorting and by
-brute force over arc subsets, so each can check the other.
+Maximal chain sizes are computed three ways, so each can check the
+others: by patience sorting over one diagram here (`max_chain_sizes`),
+by brute force over arc subsets here, and by a DP over the arc columns
+of a whole batch in `_kernels.chain_stats_batch`, which the sweeps use.
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ def is_nesting_chain(arcs: Iterable[Arc]) -> bool:
 
 def _chain_sizes(starts: list[int], ends: list[int]) -> tuple[int, int]:
     """(largest crossing chain, largest nesting chain) of arcs sorted by
-    start, given as plain lists; the batch kernel runs it row by row.
+    start, given as plain lists: the scalar reference for the batch
+    kernel `_kernels.chain_stats_batch`, which shares no code with it.
 
     Ends are distinct, and each run below is patience sorting: `tops[i]`
     is the smallest last key of a strictly increasing run of length i + 1.

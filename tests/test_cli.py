@@ -130,6 +130,16 @@ class TestFillAndTheta:
         code, restored, _ = run_cli(capsys, "theta", "--from-filling", str(back))
         assert restored == filled
 
+    def test_theta_needs_exactly_one_input(self, capsys, tmp_path):
+        code, filled, _ = run_cli(capsys, "fill", EX2)
+        src = tmp_path / "filling.txt"
+        src.write_text(filled)
+        for argv in (("theta", "1,2", "--from-filling", str(src)), ("theta",)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("text", ["2,1\n1,x\n", "2,1\n1,1,1\n"])
     def test_theta_malformed_filling_is_usage_error(self, capsys, tmp_path, text):
         src = tmp_path / "bad.txt"
@@ -297,6 +307,14 @@ class TestDistribution:
 
     def test_unknown_statistic_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "distribution", "--n", "2", "--schema", "nes,foo")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_statistic_is_usage_error(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "distribution", "--n", "2",
+                                 "--schema", "cro,cro", "--format", fmt)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1

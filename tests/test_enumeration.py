@@ -33,7 +33,7 @@ from crossnest import (
 )
 from crossnest import _kernels, enumeration
 from crossnest.enumeration import BLOCK_ROWS, report_to_json, signed_values_batch
-from crossnest.errors import RankTooLarge, UnknownStatistic
+from crossnest.errors import RankTooLarge, RepeatedStatistic, UnknownStatistic
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +123,13 @@ class TestDistribution:
             distribution(2, ("nes", "des"))
         with pytest.raises(UnknownStatistic):
             distribution(2, ("nes", "des"))
+
+    @pytest.mark.parametrize("schema", [("cro", "cro"), ("nes", "cro_star", "wex", "cro_star")])
+    def test_repeated_statistic(self, schema):
+        with pytest.raises(RepeatedStatistic):
+            distribution(2, schema)
+        with pytest.raises(ValueError):
+            distribution(2, schema)
 
     def test_rank_outside_guard(self):
         for n in (0, 9):

@@ -16,11 +16,10 @@ from crossnest import (
     wex,
 )
 from crossnest.enumeration import signed_values_batch
+from crossnest.statistics import _chain_sizes
 
 
 def reference_rows(n):
-    # chain sizes from the subset oracles: the kernel shares its DP with
-    # max_chain_sizes, so that would be no independent check
     rows = []
     for p in enumerate_bn(n):
         rows.append((cro(p), nes(p), wex(p), neg(p), cro_star_brute(p), nes_star_brute(p)))
@@ -44,10 +43,20 @@ def test_numpy_pair_stats_match_reference(n):
     assert (got == ref[:, :4]).all()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_python_chain_stats_match_reference(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chain_stats_match_brute_force(n):
     arcs = K.upper_arcs_batch(signed_values_batch(n))
     ref = reference_rows(n)
     got = K.chain_stats_batch(arcs)
     assert (got == ref[:, 4:]).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chain_stats_match_patience_sorting(n):
+    arcs = K.upper_arcs_batch(signed_values_batch(n))
+    got = K.chain_stats_batch(arcs)
+    assert got.dtype == np.int64 and got.shape == (len(arcs), 2)
+    ref = [_chain_sizes(starts, ends)
+           for starts, ends in zip(arcs[:, :, 0].tolist(), arcs[:, :, 1].tolist())]
+    assert got.tolist() == [list(r) for r in ref]
 
