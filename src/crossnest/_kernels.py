@@ -4,34 +4,45 @@ Enumerating all 2^n * n! signed permutations of a rank and computing
 statistics for each one is the only hot loop in this package.  The
 kernels here work on int64 arc tables of shape (P, n, 2), arcs sorted
 by start within each row; `enumeration` feeds them blocks of about
-`BLOCK_ROWS` rows, so P stays small whatever the rank.  The pair
-statistics loop over the n(n-1)/2 column pairs of the table, each step
-a few operations on 1-D columns of length P; the chain statistics are
-DPs over the same column pairs (and, for crossings, the column triples
-between a chain's first arc and its last).
+`BLOCK_ROWS` rows (`PAIR_MAP_BLOCK_ROWS` for the pair involution), so P
+stays small whatever the rank.  The pair statistics loop over the
+n(n-1)/2 column pairs of the table, each step a few operations on 1-D
+columns of length P; the chain statistics are DPs over the same column
+pairs (and, for crossings, the column triples between a chain's first
+arc and its last).  The pair involution is the rank-mirror scan of
+`involution` on (P, n) one-line arrays: one walk over the 2n vertex
+columns, with its open lists as (P, 2n) masks.
 
-The patience sorting and the subset brute-force oracles in `statistics`
-are deliberately not accelerated; they exist to check these kernels,
-not to race them.
+The patience sorting and the subset brute-force oracles in `statistics`,
+and the scalar `involution.crossing_nesting_involution`, are the
+references these kernels are tested against; they are deliberately not
+accelerated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import Desynchronized
 
-def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
-    """Arc tables for a batch of one-line arrays, sorted by start.
+
+def _arc_ends(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends), each (P, n), of the arcs in magnitude order.
 
     values[p, i-1] = s(i); the arc for magnitude i starts at i when
     s(i) >= i and at -i otherwise.
     """
     values = np.asarray(values, dtype=np.int64)
-    n = values.shape[1]
-    idx = np.arange(1, n + 1, dtype=np.int64)
+    idx = np.arange(1, values.shape[1] + 1, dtype=np.int64)
     keep = values >= idx
-    starts = np.where(keep, idx, -idx)
-    ends = np.where(keep, values, -values)
+    return np.where(keep, idx, -idx), np.where(keep, values, -values)
+
+
+def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
+    """Arc tables for a batch of one-line arrays, sorted by start."""
+    # starts and ends stay alive until the return: freeing them before the
+    # sort measured about 10 % slower on the rank-7 pair sweep
+    starts, ends = _arc_ends(values)
     arcs = np.stack([starts, ends], axis=-1)
     order = np.argsort(arcs[:, :, 0], axis=1)
     return np.take_along_axis(arcs, order[:, :, None], axis=1)
@@ -101,3 +112,70 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
         for h in range(g):
             np.maximum(fall[g], (fall[h] + 1) * (E[h] > eg), out=fall[g])
     return np.stack([cro_star, fall.max(axis=0)], axis=1)
+
+
+# --- the pair involution: the rank-mirror scan ----------------------------
+
+def _vertex_tables(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(opens, partner), each (P, 2n) over the vertex columns -n, ..., -1,
+    1, ..., n: opens marks the columns where an arc starts, and partner
+    holds the start column of the arc that ends at a column, or -1."""
+    starts, ends = _arc_ends(values)
+    p, n = starts.shape
+    first = starts + n - (starts > 0)
+    rows = np.arange(p)[:, None]
+    opens = np.zeros((p, 2 * n), dtype=bool)
+    opens[rows, first] = True
+    partner = np.full((p, 2 * n), -1, dtype=np.int64)
+    partner[rows, ends + n - (ends > 0)] = first
+    return opens, partner
+
+
+def pair_involution_batch(values: np.ndarray) -> np.ndarray:
+    """Images of a (P, n) block of one-line arrays under the pair map,
+    whose scalar reference is `involution.crossing_nesting_involution`.
+
+    The same rank-mirror scan, with the two open lists kept as (P, 2n)
+    masks over the vertex columns; oldest first is left to right.  At a
+    closer, r counts the open source arcs that start before the partner,
+    and the image closes its (k-1-r)-th oldest of k open arcs.  A row
+    whose partner is not open, or whose image is not a signed
+    permutation, raises Desynchronized.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    opens, partner = _vertex_tables(values)
+    p, width = opens.shape
+    n = width // 2
+    cols = np.arange(width)
+    vertex = cols - n + (cols >= n)
+    source = np.zeros_like(opens)
+    image = np.zeros_like(opens)
+    ends = np.zeros((p, width), dtype=np.int64)   # image arc end by start column
+    for c in range(width):
+        if c >= n:      # a positive vertex joins before it closes
+            source[:, c] = image[:, c] = opens[:, c]
+        rows = np.flatnonzero(partner[:, c] >= 0)
+        start = partner[rows, c]
+        lost = ~source[rows, start]
+        if lost.any():
+            row = rows[lost.argmax()]
+            raise Desynchronized(f"row {values[row].tolist()}: closer {vertex[c]}: "
+                                 f"partner {vertex[partner[row, c]]} is not open")
+        r = (source[rows] & (cols < start[:, None])).sum(axis=1)
+        held = image[rows]
+        k = held.sum(axis=1)
+        mirror = (held & (held.cumsum(axis=1) == (k - r)[:, None])).argmax(axis=1)
+        source[rows, start] = False
+        image[rows, mirror] = False
+        ends[rows, mirror] = vertex[c]
+        if c < n:       # a negative vertex joins after it closes
+            source[:, c] = image[:, c] = opens[:, c]
+    positive, negative = opens[:, n:], opens[:, n - 1::-1]
+    out = np.where(positive, ends[:, n:], -ends[:, n - 1::-1])
+    broken = ((positive == negative).any(axis=1) | (opens & (ends == 0)).any(axis=1)
+              | (np.sort(np.abs(out), axis=1) != np.arange(1, n + 1)).any(axis=1))
+    if broken.any():
+        row = broken.argmax()
+        raise Desynchronized(f"row {values[row].tolist()}: image {out[row].tolist()} "
+                             "is not a signed permutation")
+    return out

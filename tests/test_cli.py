@@ -6,6 +6,7 @@ import pytest
 from goldens import EX1, EX1_IMAGE, EX2, EX2_DEGREE
 
 from crossnest import (
+    _kernels,
     cli,
     core,
     cro,
@@ -259,11 +260,25 @@ class TestVerify:
 
     def test_involutions_failure_report_bytes(self, capsys, monkeypatch):
         # an identity "pair map" fails the swap wherever cro != nes
-        monkeypatch.setattr(enumeration, "crossing_nesting_involution", lambda p: p)
+        monkeypatch.setattr(_kernels, "pair_involution_batch", lambda values: values)
         code, out, _ = run_cli(capsys, "verify", "involutions", "--n", "2")
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == INVOLUTIONS_2_FAILURE_SHA256
         assert {entry["map"] for entry in json.loads(out)["counterexamples"]} == {"theorem24"}
+
+    def test_involutions_desynchronized_exits_3(self, capsys, monkeypatch):
+        tables = _kernels._vertex_tables
+
+        def broken(values):
+            # the leftmost vertex closes an arc of its own before any opens
+            opens, partner = tables(values)
+            partner[:, 0] = 0
+            return opens, partner
+
+        monkeypatch.setattr(_kernels, "_vertex_tables", broken)
+        code, out, err = run_cli(capsys, "verify", "involutions", "--n", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error:") and len(err.splitlines()) == 1
 
     # lemma41's --n counts desk rows, which have no upper guard
     @pytest.mark.parametrize("claim,n", [

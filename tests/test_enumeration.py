@@ -344,11 +344,56 @@ class TestMaxCrossingCount:
                 max_crossing_count(n)
 
 
+def pair_map_records(p, apply):
+    """Counterexamples of a pair map on p from the object-level functions,
+    in the suite's order: swap, wex, neg, degree, involution."""
+    image = apply(p)
+    back = apply(image)
+    before, after = (cro(p), nes(p)), (cro(image), nes(image))
+    degrees = str(degree_sequence(p)), str(degree_sequence(image))
+    checks = [
+        ("statistic_swap", after != before[::-1], {"before": list(before), "after": list(after)}),
+        ("wex_preservation", wex(image) != wex(p), {"before": wex(p), "after": wex(image)}),
+        ("neg_preservation", neg(image) != neg(p), {"before": neg(p), "after": neg(image)}),
+        ("degree_preservation", degrees[0] != degrees[1],
+         {"before": degrees[0], "after": degrees[1]}),
+        ("involution", back != p, {"image": str(image), "twice": str(back)}),
+    ]
+    return [{"permutation": str(p), "failure": kind, **fields}
+            for kind, failed, fields in checks if failed]
+
+
 class TestInvolutionSuite:
     def test_pair_map_rank_three(self):
         report = verify_involution_properties(3, "pair")
         assert report.passed
         assert report.info["permutations_checked"] == 58
+
+    def test_pair_map_rank_six(self):
+        report = verify_involution_properties(6, "pair")
+        assert report.passed and not report.counterexamples
+        assert report.info["permutations_checked"] == 50362
+
+    def test_pair_failures_match_object_level_records(self, monkeypatch):
+        def rotate_and_negate(values):
+            # not an involution from rank 2 on; moves wex, neg and degrees
+            image = np.roll(values, 1, axis=1)
+            image[:, 0] *= -1
+            return image
+
+        def apply(p):
+            return SignedPermutation(tuple(rotate_and_negate(np.array([p.values]))[0].tolist()))
+
+        monkeypatch.setattr(_kernels, "pair_involution_batch", rotate_and_negate)
+        report = verify_involution_properties(4, "pair")
+        expected = [record for n in range(1, 5) for p in enumerate_bn(n)
+                    for record in pair_map_records(p, apply)]
+        assert not report.passed
+        assert {c["failure"] for c in report.counterexamples} == {
+            "statistic_swap", "wex_preservation", "neg_preservation",
+            "degree_preservation", "involution"}
+        # same records, fields and order, so the JSON is byte for byte the same
+        assert json.dumps(report.counterexamples) == json.dumps(expected)
 
     def test_chain_map_rank_two(self):
         report = verify_involution_properties(2, "chain")

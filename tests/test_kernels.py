@@ -1,13 +1,19 @@
 """Parity between the array kernels and the object-level reference
 implementations."""
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
+
+from goldens import PAIR_IMAGES_SHA256
 
 from crossnest import _kernels as K
 from crossnest import (
     cro,
     cro_star_brute,
+    crossing_nesting_involution,
     enumerate_bn,
     neg,
     nes,
@@ -16,14 +22,20 @@ from crossnest import (
     wex,
 )
 from crossnest.enumeration import signed_values_batch
+from crossnest.errors import Desynchronized
 from crossnest.statistics import _chain_sizes
 
 
+@functools.cache
 def reference_rows(n):
+    """Object-level (cro, nes, wex, neg, cro*, nes*) per row; built once per
+    rank and shared by the tests, so it is read-only."""
     rows = []
     for p in enumerate_bn(n):
         rows.append((cro(p), nes(p), wex(p), neg(p), cro_star_brute(p), nes_star_brute(p)))
-    return np.array(rows, dtype=np.int64)
+    table = np.array(rows, dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def test_upper_arcs_batch_matches_objects():
@@ -60,3 +72,46 @@ def test_chain_stats_match_patience_sorting(n):
            for starts, ends in zip(arcs[:, :, 0].tolist(), arcs[:, :, 1].tolist())]
     assert got.tolist() == [list(r) for r in ref]
 
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_pair_involution_batch_matches_scalar_map(n):
+    got = K.pair_involution_batch(signed_values_batch(n))
+    assert got.dtype == np.int64
+    assert got.tolist() == [list(crossing_nesting_involution(p).values)
+                            for p in enumerate_bn(n)]
+
+
+def test_pair_involution_batch_images_match_pinned_map():
+    text = "".join(f"{','.join(map(str, row))}\n"
+                   for n in range(1, 6)
+                   for row in K.pair_involution_batch(signed_values_batch(n)).tolist())
+    assert text.count("\n") == 4282
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIR_IMAGES_SHA256
+
+
+def tables(n, opens, arcs):
+    """Vertex tables for one row, from vertex labels: the opening vertices
+    and the (start, end) arcs, unchecked."""
+    def col(v):
+        return v + n - (v > 0)
+    open_mask = np.zeros((1, 2 * n), dtype=bool)
+    partner = np.full((1, 2 * n), -1, dtype=np.int64)
+    for v in opens:
+        open_mask[0, col(v)] = True
+    for start, end in arcs:
+        partner[0, col(end)] = col(start)
+    return open_mask, partner
+
+
+def test_pair_involution_batch_partner_not_open(monkeypatch):
+    # a loop at a negative vertex closes before it opens
+    monkeypatch.setattr(K, "_vertex_tables", lambda values: tables(1, [-1], [(-1, -1)]))
+    with pytest.raises(Desynchronized, match="closer -1: partner -1 is not open"):
+        K.pair_involution_batch(np.array([[1]]))
+
+
+def test_pair_involution_batch_image_not_a_permutation(monkeypatch):
+    # the arc from 1 never closes, so the image has no value at 1
+    monkeypatch.setattr(K, "_vertex_tables", lambda values: tables(1, [1], []))
+    with pytest.raises(Desynchronized, match="is not a signed permutation"):
+        K.pair_involution_batch(np.array([[1]]))
