@@ -4,8 +4,8 @@ Enumerating all 2^n * n! signed permutations of a rank and computing
 statistics for each one is the only hot loop in this package.  The
 kernels here work on int64 arc tables of shape (P, n, 2), arcs sorted
 by start within each row; `enumeration` feeds them blocks of about
-`BLOCK_ROWS` rows (`PAIR_MAP_BLOCK_ROWS` for the pair involution), so P
-stays small whatever the rank.  The pair statistics loop over the
+`BLOCK_ROWS` rows (`INVOLUTION_BLOCK_ROWS` for the involution suites),
+so P stays small whatever the rank.  The pair statistics loop over the
 n(n-1)/2 column pairs of the table, each step a few operations on 1-D
 columns of length P; the chain statistics are DPs over the same column
 pairs (and, for crossings, the column triples between a chain's first

@@ -6,11 +6,11 @@ involutions in `involution` and `fillings`: a distribution table is
 built over the full rank (or over one degree-sequence class) and checked
 for symmetry key by key.  The involution property suite is a separate
 claim that applies the maps and confirms their documented behaviour.
-It runs the pair map as the array kernel `_kernels.pair_involution_batch`
-on blocks of `PAIR_MAP_BLOCK_ROWS` one-line arrays, with the statistics
-compared column by column; the scalar `crossing_nesting_involution` is
-that kernel's reference, checked against it in the tests.  The chain map
-runs one permutation at a time.
+Both maps run on blocks of `INVOLUTION_BLOCK_ROWS` one-line arrays, with
+the statistics compared column by column.  The pair map is the array
+kernel `_kernels.pair_involution_batch`, whose reference, the scalar
+`crossing_nesting_involution`, is checked against it in the tests; the
+chain map applies `max_chain_involution` to each row of the block.
 
 Every counting verifier goes through `_sweep`, which streams the rank in
 blocks of about `BLOCK_ROWS` one-line arrays (whole magnitude
@@ -33,27 +33,22 @@ from typing import Iterator, Literal
 import numpy as np
 
 from . import _kernels
-from .core import (
-    DegreeSequence,
-    SignedPermutation,
-    degree_sequence,
-    neg,
-    upper_diagram,
-)
+from .core import DegreeSequence, SignedPermutation
 from .errors import RankTooLarge, RepeatedStatistic, UnknownStatistic
 from .fillings import max_chain_involution
-from .statistics import max_chain_sizes
 
 MAX_ENUM_RANK = 8
 
 # rows per streamed block; a block holds max(1, BLOCK_ROWS >> n) whole
 # magnitude permutations
 BLOCK_ROWS = 2 ** 14
-# rows per block of the pair-map suite, which holds two images, two arc
-# tables and the scan's (P, 2n) masks per block: measured on the rank-5
-# suite, 2^14-row blocks raised peak RSS from 29.4 MB (one object at a time)
-# to 32.3 MB, while 2^10 rows kept it at 30.3 MB and ran fastest of 2^8-2^10
-PAIR_MAP_BLOCK_ROWS = 2 ** 10
+# rows per block of the involution suites, which hold two images and two arc
+# tables per block (and, for the pair map, the scan's (P, 2n) masks):
+# measured on the rank-5 pair suite, 2^14-row blocks raised peak RSS from
+# 29.4 MB (one object at a time) to 32.3 MB, while 2^10 rows kept it at
+# 30.3 MB and ran fastest of 2^8-2^10; on the rank-5 theta suite 2^10 rows
+# read 30.6 MB (30.4 MB one object at a time) against 33.4 MB at 2^12-2^14
+INVOLUTION_BLOCK_ROWS = 2 ** 10
 
 STAT_NAMES = ("nes", "cro", "wex", "neg", "cro_star", "nes_star")
 PAIR_STATS = ("cro", "nes", "wex", "neg")      # pair_stats_batch columns
@@ -421,29 +416,43 @@ def _one_line(row: np.ndarray) -> str:
     return ",".join(map(str, row.tolist()))
 
 
-def _pair_map_failures(values: np.ndarray) -> list[dict]:
-    """Counterexamples of the pair map on one block of one-line arrays,
+def _theta_rows(values: np.ndarray) -> np.ndarray:
+    """Images of a block of one-line arrays under `max_chain_involution`,
+    one row at a time."""
+    return np.array([max_chain_involution(SignedPermutation(tuple(row))).values
+                     for row in values.tolist()], dtype=np.int64)
+
+
+def _map_failures(values: np.ndarray, which: str) -> list[dict]:
+    """Counterexamples of the chosen map on one block of one-line arrays,
     row by row, each row's in the order swap, wex, neg, degree, involution."""
+    # looked up per call, so that patched or wrapped maps apply
+    apply = _kernels.pair_involution_batch if which == "pair" else _theta_rows
     n = values.shape[1]
-    image = _kernels.pair_involution_batch(values)
-    back = _kernels.pair_involution_batch(image)
+    image = apply(values)
+    back = apply(image)
     arcs, image_arcs = _kernels.upper_arcs_batch(values), _kernels.upper_arcs_batch(image)
-    before, after = _kernels.pair_stats_batch(arcs), _kernels.pair_stats_batch(image_arcs)
+    kept, image_kept = _kernels.pair_stats_batch(arcs), _kernels.pair_stats_batch(image_arcs)
+    if which == "pair":
+        before, after = kept, image_kept
+    else:
+        before, after = _kernels.chain_stats_batch(arcs), _kernels.chain_stats_batch(image_arcs)
     degrees, image_degrees = _degree_codes(arcs), _degree_codes(image_arcs)
     failed = np.stack([
         (after[:, 0] != before[:, 1]) | (after[:, 1] != before[:, 0]),
-        after[:, 2] != before[:, 2],
-        after[:, 3] != before[:, 3],
+        image_kept[:, 2] != kept[:, 2],
+        image_kept[:, 3] != kept[:, 3],
         degrees != image_degrees,
         (back != values).any(axis=1),
     ], axis=1)
     failures = []
     for row in np.flatnonzero(failed.any(axis=1)).tolist():
-        b, a = before[row].tolist(), after[row].tolist()
+        k, ik = kept[row].tolist(), image_kept[row].tolist()
         fields = (
-            ("statistic_swap", {"before": b[:2], "after": a[:2]}),
-            ("wex_preservation", {"before": b[2], "after": a[2]}),
-            ("neg_preservation", {"before": b[3], "after": a[3]}),
+            ("statistic_swap", {"before": before[row, :2].tolist(),
+                                "after": after[row, :2].tolist()}),
+            ("wex_preservation", {"before": k[2], "after": ik[2]}),
+            ("neg_preservation", {"before": k[3], "after": ik[3]}),
             ("degree_preservation", {"before": _degree_class(int(degrees[row]), n)[0],
                                      "after": _degree_class(int(image_degrees[row]), n)[0]}),
             ("involution", {"image": _one_line(image[row]), "twice": _one_line(back[row])}),
@@ -454,66 +463,22 @@ def _pair_map_failures(values: np.ndarray) -> list[dict]:
     return failures
 
 
-def _chain_map_failures(p: SignedPermutation) -> list[dict]:
-    failures = []
-    image = max_chain_involution(p)
-    diagram, image_diagram = upper_diagram(p), upper_diagram(image)
-    before, after = max_chain_sizes(diagram), max_chain_sizes(image_diagram)
-    if (after[0], after[1]) != (before[1], before[0]):
-        failures.append({
-            "permutation": str(p),
-            "failure": "statistic_swap",
-            "before": list(before),
-            "after": list(after),
-        })
-    if neg(image) != neg(p):
-        failures.append({
-            "permutation": str(p),
-            "failure": "neg_preservation",
-            "before": neg(p),
-            "after": neg(image),
-        })
-    degrees = degree_sequence(diagram), degree_sequence(image_diagram)
-    if degrees[0] != degrees[1]:
-        failures.append({
-            "permutation": str(p),
-            "failure": "degree_preservation",
-            "before": str(degrees[0]),
-            "after": str(degrees[1]),
-        })
-    back = max_chain_involution(image)
-    if back != p:
-        failures.append({
-            "permutation": str(p),
-            "failure": "involution",
-            "image": str(image),
-            "twice": str(back),
-        })
-    return failures
-
-
 def verify_involution_properties(
     n_max: int, which: Literal["pair", "chain"]
 ) -> VerificationReport:
     """Apply the chosen map to every permutation of every rank up to
     n_max and confirm swap, preservation and involutivity.  Failures are
     reported; a map that loses its own bookkeeping raises (Desynchronized,
-    InconsistentGrowth).  The pair map runs on blocks of one-line arrays,
-    the chain map one permutation at a time."""
+    InconsistentGrowth).  Both maps run on blocks of one-line arrays."""
     _check_rank(n_max)
 
     def run():
         bad = []
         count = 0
         for n in range(1, n_max + 1):
-            if which == "pair":
-                for values in _signed_value_blocks(n, PAIR_MAP_BLOCK_ROWS):
-                    count += len(values)
-                    bad.extend(_pair_map_failures(values))
-            else:
-                for p in enumerate_bn(n):
-                    count += 1
-                    bad.extend(_chain_map_failures(p))
+            for values in _signed_value_blocks(n, INVOLUTION_BLOCK_ROWS):
+                count += len(values)
+                bad.extend(_map_failures(values, which))
         return bad, count
 
     (bad, count), elapsed = _timed(run)

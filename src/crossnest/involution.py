@@ -22,14 +22,7 @@ arrays that the exhaustive property suite runs.
 
 from __future__ import annotations
 
-from .core import (
-    Arc,
-    SignedPermutation,
-    UpperDiagram,
-    permutation_from_upper,
-    upper_diagram,
-    vertices,
-)
+from .core import SignedPermutation, upper_diagram, vertices
 from .errors import Desynchronized
 
 
@@ -41,7 +34,7 @@ def crossing_nesting_involution(p: SignedPermutation) -> SignedPermutation:
     opens = {a.start for a in d.arcs}
     source: list[int] = []     # open arcs by start, oldest first
     image: list[int] = []
-    arcs = []
+    values = [0] * d.n
     for v in vertices(d.n):
         if v > 0 and v in opens:
             source.append(v)
@@ -51,8 +44,10 @@ def crossing_nesting_involution(p: SignedPermutation) -> SignedPermutation:
                 raise Desynchronized(f"closer {v}: partner {partner[v]} is not open")
             r = source.index(partner[v])
             del source[r]
-            arcs.append(Arc(image.pop(len(image) - 1 - r), v))
+            # the image arc (start, v) gives the entry of magnitude |start|
+            start = image.pop(len(image) - 1 - r)
+            values[abs(start) - 1] = v if start > 0 else -v
         if v < 0 and v in opens:
             source.append(v)
             image.append(v)
-    return permutation_from_upper(UpperDiagram(d.n, frozenset(arcs)))
+    return SignedPermutation(tuple(values))

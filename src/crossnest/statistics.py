@@ -37,10 +37,6 @@ class PairKind(Enum):
     ALIGNMENT = "alignment"
 
 
-CROSSING_KINDS = frozenset({PairKind.PROPER_CROSSING, PairKind.SKEW_CROSSING})
-NESTING_KINDS = frozenset({PairKind.PROPER_NESTING, PairKind.SKEW_NESTING})
-
-
 @dataclass(frozen=True)
 class PairPattern:
     kind: PairKind

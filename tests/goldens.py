@@ -41,6 +41,11 @@ THETA_VALUES = (5, 4, 3, -6, 2, -1)
 # image of EX2 under the growth-diagram chain involution
 EX2_THETA_IMAGE = "1,4,3,-5,2,-6"
 
+# sha256 of the chain-involution images, one line each, of every signed
+# permutation of ranks 1-4 in enumerate_bn order (442 lines), frozen from
+# the scalar growth-diagram map
+THETA_IMAGES_SHA256 = "839633d58fa6ec1e1a99df768ea41c4e77390ec6dd91c7582183e7c89b076b4c"
+
 EX2_SHAPE = (6, 6, 6, 6, 4, 3)
 EX2_OPENERS = (-6, -5, -4, 1, 2, 3)
 EX2_CLOSERS = (-2, 1, 3, 4, 5, 6)

@@ -266,6 +266,14 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == INVOLUTIONS_2_FAILURE_SHA256
         assert {entry["map"] for entry in json.loads(out)["counterexamples"]} == {"theorem24"}
 
+    def test_involutions_chain_internal_error_exits_3(self, capsys, monkeypatch):
+        # doubled border labels break the theta map's backward rules
+        monkeypatch.setattr(fillings, "_conjugate", lambda lam: tuple(2 * v for v in lam))
+        code, out, err = run_cli(capsys, "verify", "involutions", "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:") and len(err.splitlines()) == 1
+
     def test_involutions_desynchronized_exits_3(self, capsys, monkeypatch):
         tables = _kernels._vertex_tables
 

@@ -17,6 +17,7 @@ from crossnest import (
     degree_sequence,
     distribution,
     enumerate_bn,
+    max_chain_sizes,
     max_crossing_count,
     max_crossing_witness,
     neg,
@@ -344,12 +345,12 @@ class TestMaxCrossingCount:
                 max_crossing_count(n)
 
 
-def pair_map_records(p, apply):
-    """Counterexamples of a pair map on p from the object-level functions,
+def map_records(p, apply, swapped):
+    """Counterexamples of a map on p from the object-level functions,
     in the suite's order: swap, wex, neg, degree, involution."""
     image = apply(p)
     back = apply(image)
-    before, after = (cro(p), nes(p)), (cro(image), nes(image))
+    before, after = swapped(p), swapped(image)
     degrees = str(degree_sequence(p)), str(degree_sequence(image))
     checks = [
         ("statistic_swap", after != before[::-1], {"before": list(before), "after": list(after)}),
@@ -374,7 +375,8 @@ class TestInvolutionSuite:
         assert report.passed and not report.counterexamples
         assert report.info["permutations_checked"] == 50362
 
-    def test_pair_failures_match_object_level_records(self, monkeypatch):
+    @pytest.mark.parametrize("which", ["pair", "chain"])
+    def test_pair_failures_match_object_level_records(self, monkeypatch, which):
         def rotate_and_negate(values):
             # not an involution from rank 2 on; moves wex, neg and degrees
             image = np.roll(values, 1, axis=1)
@@ -384,10 +386,19 @@ class TestInvolutionSuite:
         def apply(p):
             return SignedPermutation(tuple(rotate_and_negate(np.array([p.values]))[0].tolist()))
 
-        monkeypatch.setattr(_kernels, "pair_involution_batch", rotate_and_negate)
-        report = verify_involution_properties(4, "pair")
+        def pair_counts(p):
+            return cro(p), nes(p)
+
+        if which == "pair":
+            monkeypatch.setattr(_kernels, "pair_involution_batch", rotate_and_negate)
+            swapped = pair_counts
+        else:
+            # the chain suite applies the scalar map to each row of a block
+            monkeypatch.setattr(enumeration, "max_chain_involution", apply)
+            swapped = max_chain_sizes
+        report = verify_involution_properties(4, which)
         expected = [record for n in range(1, 5) for p in enumerate_bn(n)
-                    for record in pair_map_records(p, apply)]
+                    for record in map_records(p, apply, swapped)]
         assert not report.passed
         assert {c["failure"] for c in report.counterexamples} == {
             "statistic_swap", "wex_preservation", "neg_preservation",

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from goldens import (
     EX2_SHAPE,
     EX2_THETA_IMAGE,
     EX2_UPPER,
+    THETA_IMAGES_SHA256,
     THETA_VALUES,
 )
 
@@ -275,6 +277,12 @@ class TestInterchange:
                 assert str(degree_sequence(image)) == str(degree_sequence(p))
                 assert neg(image) == neg(p)
                 assert max_chain_involution(image) == p
+
+    def test_images_match_pinned_map(self):
+        text = "".join(f"{max_chain_involution(p)}\n"
+                       for n in range(1, 5) for p in enumerate_bn(n))
+        assert text.count("\n") == 442
+        assert hashlib.sha256(text.encode()).hexdigest() == THETA_IMAGES_SHA256
 
 
 class TestFillingText:
