@@ -11,19 +11,22 @@ columns of length P; the chain statistics are DPs over the same column
 pairs (and, for crossings, the column triples between a chain's first
 arc and its last).  The pair involution is the rank-mirror scan of
 `involution` on (P, n) one-line arrays: one walk over the 2n vertex
-columns, with its open lists as (P, 2n) masks.
+columns, with its open lists as (P, 2n) masks.  The chain involution is
+the growth-diagram map of `fillings` on the same arrays: Fomin's local
+rules, one cell of the n x n grid at a time, each step on the labels of
+that cell's corners for every row of the block.
 
 The patience sorting and the subset brute-force oracles in `statistics`,
-and the scalar `involution.crossing_nesting_involution`, are the
-references these kernels are tested against; they are deliberately not
-accelerated.
+and the scalar `involution.crossing_nesting_involution` and
+`fillings.max_chain_involution`, are the references these kernels are
+tested against; they are deliberately not accelerated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import Desynchronized
+from .errors import Desynchronized, InconsistentGrowth
 
 
 def _arc_ends(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,4 +181,117 @@ def pair_involution_batch(values: np.ndarray) -> np.ndarray:
         row = broken.argmax()
         raise Desynchronized(f"row {values[row].tolist()}: image {out[row].tolist()} "
                              "is not a signed permutation")
+    return out
+
+
+# --- the chain involution: growth diagrams on blocks ----------------------
+#
+# A label is a padded partition stored column-major, parts along axis -2
+# and rows along the last axis, so that tests over a label's parts reduce
+# over the short outer axis.  Parts are int8: at rank n no part exceeds
+# n + 1, the number of parts kept.
+
+def _conjugate(labels: np.ndarray) -> np.ndarray:
+    """Conjugates of the (..., K, P) padded partitions."""
+    k = labels.shape[-2]
+    return np.stack([(labels > j).sum(axis=-2, dtype=labels.dtype) for j in range(k)], axis=-2)
+
+
+def _forward_rule(lam: np.ndarray, mu: np.ndarray, nu: np.ndarray,
+                  filled: np.ndarray) -> np.ndarray:
+    """`fillings.forward_rule` on (K, P) labels: unequal growths meet in
+    their union, equal growths bump the box one row down (which keeps lam
+    when nothing grew), and a 1 adds a box to row 0.  A 1 has no other 1
+    in its row or column, so where it sits mu = nu = lam."""
+    out = np.maximum(mu, nu)
+    out[1:] += (mu == nu).all(axis=0) * (mu[:-1] - lam[:-1])
+    out[0] += filled
+    return out
+
+
+def _backward_rule(rho: np.ndarray, mu: np.ndarray, nu: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`fillings.backward_rule` on (K, P) labels: (lam, filled, covered).
+    Only where covered holds, that is where mu and nu are each rho or rho
+    minus one box, are lam and filled meaningful."""
+    size = rho.sum(axis=0, dtype=np.int16)
+    covered = ((mu <= rho).all(axis=0) & (nu <= rho).all(axis=0)
+               & (size - mu.sum(axis=0, dtype=np.int16) <= 1)
+               & (size - nu.sum(axis=0, dtype=np.int16) <= 1))
+    same = (mu == nu).all(axis=0)
+    # equal growths: rho's box moves one row up out of mu, and from row 0
+    # it leaves as the cell's 1
+    lam = np.minimum(mu, nu)
+    lam[:-1] -= same * (rho[1:] - mu[1:])
+    return lam, same & (rho[0] != mu[0]), covered
+
+
+def _partition(label: np.ndarray) -> tuple[int, ...]:
+    return tuple(part for part in label.tolist() if part)
+
+
+def theta_batch(values: np.ndarray) -> np.ndarray:
+    """Images of a (P, n) block of one-line arrays under the chain map,
+    whose scalar reference is `fillings.max_chain_involution`.
+
+    Each row is encoded as the filling of `fillings.xi`: row r (1 on top)
+    stands for the r-th largest closer and has its `young_shape` width,
+    and the arc of each magnitude fills the cell in row n - #closers
+    below its end and column 1 + #openers below its start.  The labels of
+    all (n+1)^2 corners of the n x n grid, with n+1 parts each, grow by
+    Fomin's forward rules; cells outside a row's shape hold no 1, so the
+    labels on and inside the shape are the filling's own.  All labels are
+    conjugated; a corner (r, c) keeps its conjugated label when
+    c >= width(r+1), which puts it on or beyond the shape's outer border,
+    and the backward rules rebuild the others, bottom row first and right
+    to left.  A corner that breaks the backward rules, a box left on the
+    top or left edge, or an image that is not a signed permutation raises
+    InconsistentGrowth.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    p, n = values.shape
+    rows = np.arange(p)
+    starts, ends = _arc_ends(values)
+    openers, closers = np.sort(starts, axis=1), np.sort(ends, axis=1)[:, ::-1]
+    # width[:, r] is the width of row r + 1, whose closer is closers[:, r]
+    width = ((openers[:, None, :] < closers[:, :, None]).sum(axis=2)
+             + ((closers > 0) & (openers[:, None, :] == closers[:, :, None]).any(axis=2)))
+    column = np.zeros((p, n + 1), dtype=np.int64)   # column of row r's 1
+    column[rows[:, None], n - (ends[:, :, None] > ends[:, None, :]).sum(axis=2)] = (
+        1 + (starts[:, :, None] > starts[:, None, :]).sum(axis=2))
+    labels = np.zeros((n + 1, n + 1, n + 1, p), dtype=np.int8)
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            labels[r, c] = _forward_rule(labels[r - 1, c - 1], labels[r - 1, c],
+                                         labels[r, c - 1], column[:, r] == c)
+    labels = _conjugate(labels)
+    ones = np.zeros((p, n, n), dtype=bool)          # the image's cell (r+1, c+1)
+    for r in range(n - 1, -1, -1):
+        for c in range(n - 1, -1, -1):
+            border = c >= width[:, r]
+            rho, mu, nu = labels[r + 1, c + 1], labels[r, c + 1], labels[r + 1, c]
+            lam, filled, covered = _backward_rule(rho, mu, nu)
+            broken = ~border & ~covered
+            if broken.any():
+                row = broken.argmax()
+                raise InconsistentGrowth(
+                    f"row {values[row].tolist()}: corner ({r + 1},{c + 1}) "
+                    f"{_partition(rho[:, row])} cannot sit below {_partition(mu[:, row])} "
+                    f"and right of {_partition(nu[:, row])}")
+            np.copyto(labels[r, c], lam, where=~border)
+            ones[:, r, c] = ~border & filled
+    edges = labels[0].any(axis=(0, 1)) | labels[:, 0].any(axis=(0, 1))
+    if edges.any():
+        row = edges.argmax()
+        raise InconsistentGrowth(f"row {values[row].tolist()}: rebuilding left a box "
+                                 "on the top or left edge")
+    broken = (ones.sum(axis=1) != 1).any(axis=1) | (ones.sum(axis=2) != 1).any(axis=1)
+    if broken.any():
+        row = broken.argmax()
+        raise InconsistentGrowth(f"row {values[row].tolist()}: the rebuilt filling "
+                                 "is not a signed permutation")
+    # row r + 1 joins the opener of its 1's column to closers[:, r]
+    start = np.take_along_axis(openers, ones.argmax(axis=2), axis=1)
+    out = np.zeros_like(values)
+    out[rows[:, None], np.abs(start) - 1] = np.sign(start) * closers
     return out

@@ -10,6 +10,7 @@ CSV exists only for distribution tables.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -19,8 +20,9 @@ from .core import degree_sequence, neg, parse_permutation, upper_diagram, wex
 from .enumeration import (
     STAT_NAMES,
     VerificationReport,
+    _one_line,
+    _signed_value_blocks,
     distribution,
-    enumerate_bn,
     report_to_json,
     verify_avoider_symmetry,
     verify_chain_symmetry,
@@ -184,11 +186,13 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    perms = enumerate_bn(args.n)
-    first = next(perms)   # a rank outside the guard raises before --out opens
+    # the generated rows are signed permutations by construction, so they
+    # are written without building a SignedPermutation for each
+    blocks = _signed_value_blocks(args.n)
+    first = next(blocks)   # a rank outside the guard raises before --out opens
     with _output(args.out) as fh:
-        fh.write(f"{first}\n")
-        fh.writelines(f"{p}\n" for p in perms)
+        for values in itertools.chain([first], blocks):
+            fh.writelines(f"{_one_line(row)}\n" for row in values)
     return EXIT_OK
 
 

@@ -7,10 +7,10 @@ built over the full rank (or over one degree-sequence class) and checked
 for symmetry key by key.  The involution property suite is a separate
 claim that applies the maps and confirms their documented behaviour.
 Both maps run on blocks of `INVOLUTION_BLOCK_ROWS` one-line arrays, with
-the statistics compared column by column.  The pair map is the array
-kernel `_kernels.pair_involution_batch`, whose reference, the scalar
-`crossing_nesting_involution`, is checked against it in the tests; the
-chain map applies `max_chain_involution` to each row of the block.
+the statistics compared column by column.  The maps are the array kernels
+`_kernels.pair_involution_batch` and `_kernels.theta_batch`, whose
+references, the scalar `crossing_nesting_involution` and
+`max_chain_involution`, are checked against them in the tests.
 
 Every counting verifier goes through `_sweep`, which streams the rank in
 blocks of about `BLOCK_ROWS` one-line arrays (whole magnitude
@@ -35,7 +35,6 @@ import numpy as np
 from . import _kernels
 from .core import DegreeSequence, SignedPermutation
 from .errors import RankTooLarge, RepeatedStatistic, UnknownStatistic
-from .fillings import max_chain_involution
 
 MAX_ENUM_RANK = 8
 
@@ -43,11 +42,13 @@ MAX_ENUM_RANK = 8
 # magnitude permutations
 BLOCK_ROWS = 2 ** 14
 # rows per block of the involution suites, which hold two images and two arc
-# tables per block (and, for the pair map, the scan's (P, 2n) masks):
-# measured on the rank-5 pair suite, 2^14-row blocks raised peak RSS from
-# 29.4 MB (one object at a time) to 32.3 MB, while 2^10 rows kept it at
-# 30.3 MB and ran fastest of 2^8-2^10; on the rank-5 theta suite 2^10 rows
-# read 30.6 MB (30.4 MB one object at a time) against 33.4 MB at 2^12-2^14
+# tables per block (and the scan's (P, 2n) masks, or the (n+1)^3 growth-
+# diagram labels per row): measured on the rank-5 pair suite, 2^14-row
+# blocks raised peak RSS from 29.4 MB (one object at a time) to 32.3 MB,
+# while 2^10 rows kept it at 30.3 MB and ran fastest of 2^8-2^10; with the
+# theta kernel, the rank-6 theta suite took 2.0, 1.2, 1.0, 0.8, 0.7 and
+# 0.6 s at 2^8-2^13 rows and read 30.5-30.7 MB up to 2^9, 31.3 MB at 2^10,
+# then 33.1, 36.6 and 42.2 MB
 INVOLUTION_BLOCK_ROWS = 2 ** 10
 
 STAT_NAMES = ("nes", "cro", "wex", "neg", "cro_star", "nes_star")
@@ -416,18 +417,11 @@ def _one_line(row: np.ndarray) -> str:
     return ",".join(map(str, row.tolist()))
 
 
-def _theta_rows(values: np.ndarray) -> np.ndarray:
-    """Images of a block of one-line arrays under `max_chain_involution`,
-    one row at a time."""
-    return np.array([max_chain_involution(SignedPermutation(tuple(row))).values
-                     for row in values.tolist()], dtype=np.int64)
-
-
 def _map_failures(values: np.ndarray, which: str) -> list[dict]:
     """Counterexamples of the chosen map on one block of one-line arrays,
     row by row, each row's in the order swap, wex, neg, degree, involution."""
     # looked up per call, so that patched or wrapped maps apply
-    apply = _kernels.pair_involution_batch if which == "pair" else _theta_rows
+    apply = _kernels.pair_involution_batch if which == "pair" else _kernels.theta_batch
     n = values.shape[1]
     image = apply(values)
     back = apply(image)

@@ -208,12 +208,12 @@ def _grown_row(small: Partition, big: Partition) -> int:
     return len(small)
 
 
-def _covers(big: Partition, small: Partition) -> bool:
-    """True when small is big or big minus one box."""
+def _covers(big: Partition, big_size: int, small: Partition) -> bool:
+    """True when small is big or big minus one box; big_size is sum(big)."""
     return (
         len(small) <= len(big)
         and all(s <= b for s, b in zip(small, big))
-        and sum(big) - sum(small) <= 1
+        and big_size - sum(small) <= 1
     )
 
 
@@ -240,7 +240,8 @@ def backward_rule(rho: Partition, mu: Partition, nu: Partition) -> tuple[Partiti
     from the bottom-right (rho), top-right (mu) and bottom-left (nu)
     labels.  Raises InconsistentGrowth when mu or nu is not rho or rho
     minus one box, which no filling produces."""
-    if not (_covers(rho, mu) and _covers(rho, nu)):
+    size = sum(rho)
+    if not (_covers(rho, size, mu) and _covers(rho, size, nu)):
         raise InconsistentGrowth(f"corner {rho} cannot sit below {mu} and right of {nu}")
     if mu != nu:
         return tuple(map(min, mu, nu)), False

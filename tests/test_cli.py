@@ -267,8 +267,9 @@ class TestVerify:
         assert {entry["map"] for entry in json.loads(out)["counterexamples"]} == {"theorem24"}
 
     def test_involutions_chain_internal_error_exits_3(self, capsys, monkeypatch):
-        # doubled border labels break the theta map's backward rules
-        monkeypatch.setattr(fillings, "_conjugate", lambda lam: tuple(2 * v for v in lam))
+        # doubled border labels break the theta kernel's backward rules
+        conjugate = _kernels._conjugate
+        monkeypatch.setattr(_kernels, "_conjugate", lambda labels: 2 * conjugate(labels))
         code, out, err = run_cli(capsys, "verify", "involutions", "--n", "2")
         assert code == 3
         assert out == ""

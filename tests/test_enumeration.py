@@ -393,8 +393,7 @@ class TestInvolutionSuite:
             monkeypatch.setattr(_kernels, "pair_involution_batch", rotate_and_negate)
             swapped = pair_counts
         else:
-            # the chain suite applies the scalar map to each row of a block
-            monkeypatch.setattr(enumeration, "max_chain_involution", apply)
+            monkeypatch.setattr(_kernels, "theta_batch", rotate_and_negate)
             swapped = max_chain_sizes
         report = verify_involution_properties(4, which)
         expected = [record for n in range(1, 5) for p in enumerate_bn(n)
@@ -405,6 +404,11 @@ class TestInvolutionSuite:
             "degree_preservation", "involution"}
         # same records, fields and order, so the JSON is byte for byte the same
         assert json.dumps(report.counterexamples) == json.dumps(expected)
+
+    def test_chain_map_rank_six(self):
+        report = verify_involution_properties(6, "chain")
+        assert report.passed and not report.counterexamples
+        assert report.info["permutations_checked"] == 50362
 
     def test_chain_map_rank_two(self):
         report = verify_involution_properties(2, "chain")

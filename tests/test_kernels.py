@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from goldens import PAIR_IMAGES_SHA256
+from goldens import PAIR_IMAGES_SHA256, THETA_IMAGES_SHA256
 
 from crossnest import _kernels as K
 from crossnest import (
@@ -15,6 +15,7 @@ from crossnest import (
     cro_star_brute,
     crossing_nesting_involution,
     enumerate_bn,
+    max_chain_involution,
     neg,
     nes,
     nes_star_brute,
@@ -22,7 +23,7 @@ from crossnest import (
     wex,
 )
 from crossnest.enumeration import signed_values_batch
-from crossnest.errors import Desynchronized
+from crossnest.errors import Desynchronized, InconsistentGrowth
 from crossnest.statistics import _chain_sizes
 
 
@@ -115,3 +116,36 @@ def test_pair_involution_batch_image_not_a_permutation(monkeypatch):
     monkeypatch.setattr(K, "_vertex_tables", lambda values: tables(1, [1], []))
     with pytest.raises(Desynchronized, match="is not a signed permutation"):
         K.pair_involution_batch(np.array([[1]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_theta_batch_matches_scalar_map(n):
+    got = K.theta_batch(signed_values_batch(n))
+    assert got.dtype == np.int64
+    assert got.tolist() == [list(max_chain_involution(p).values) for p in enumerate_bn(n)]
+
+
+def test_theta_batch_images_match_pinned_map():
+    text = "".join(f"{','.join(map(str, row))}\n"
+                   for n in range(1, 5)
+                   for row in K.theta_batch(signed_values_batch(n)).tolist())
+    assert text.count("\n") == 442
+    assert hashlib.sha256(text.encode()).hexdigest() == THETA_IMAGES_SHA256
+
+
+@pytest.mark.parametrize("border,message", [
+    # doubled border labels: the first cell rebuilt, (2, 1) of the shape
+    # (2, 1), has a corner two boxes above its neighbours
+    (lambda labels: 2 * labels,
+     r"row \[1, 2\]: corner \(2,1\) \(2,\) cannot sit below \(\) and right of \(\)"),
+    # a box on every corner survives the backward rules up to the edges
+    (lambda labels: np.maximum(labels, np.eye(len(labels[0, 0]), 1, dtype=labels.dtype)),
+     "left a box on the top or left edge"),
+    # empty border labels rebuild a filling without a 1
+    (np.zeros_like, "is not a signed permutation"),
+])
+def test_theta_batch_inconsistent_border(monkeypatch, border, message):
+    conjugate = K._conjugate
+    monkeypatch.setattr(K, "_conjugate", lambda labels: border(conjugate(labels)))
+    with pytest.raises(InconsistentGrowth, match=message):
+        K.theta_batch(np.array([[1, 2], [-2, 1]]))
