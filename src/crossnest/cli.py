@@ -147,18 +147,21 @@ def cmd_theta(args) -> int:
     return EXIT_OK
 
 
+# each verifier takes its bound as the first argument and declares its default
+VERIFIERS = {
+    "thm24": verify_pair_symmetry,
+    "thm27": verify_chain_symmetry,
+    "corollary": verify_max_crossing_counts,
+    "lemma41": verify_avoider_symmetry,
+}
+
+
 def cmd_verify(args) -> int:
-    n = args.n
-    if args.claim == "thm24":
-        report = verify_pair_symmetry(5 if n is None else n)
-    elif args.claim == "thm27":
-        report = verify_chain_symmetry(4 if n is None else n)
-    elif args.claim == "corollary":
-        report = verify_max_crossing_counts(6 if n is None else n)
-    elif args.claim == "lemma41":
-        report = verify_avoider_symmetry(max_rows=4 if n is None else n)
+    verify = VERIFIERS.get(args.claim)
+    if verify is not None:
+        report = verify() if args.n is None else verify(args.n)
     else:   # involutions
-        bound = 3 if n is None else n
+        bound = 3 if args.n is None else args.n
         pair = verify_involution_properties(bound, "pair")
         chain = verify_involution_properties(bound, "chain")
         report = VerificationReport(
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an exhaustive verifier")
     p_verify.add_argument(
         "claim",
-        choices=("thm24", "thm27", "corollary", "lemma41", "involutions"),
+        choices=(*VERIFIERS, "involutions"),
     )
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--out", default=None)

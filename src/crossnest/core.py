@@ -200,10 +200,6 @@ class DegreeSequence:
     n: int
     entries: tuple[tuple[int, int], ...]
 
-    def entry(self, v: int) -> tuple[int, int]:
-        idx = v + self.n if v < 0 else v + self.n - 1
-        return self.entries[idx]
-
     def __str__(self) -> str:
         return "".join(f"({a},{b})" for a, b in self.entries)
 

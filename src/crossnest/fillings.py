@@ -24,6 +24,15 @@ the border labels carry both maximal sizes.  Transposing every border
 label and rebuilding the filling with the backward rules trades the two
 sizes.  The map keeps the shape and the row and column sums, and it is
 an involution by construction.
+
+Exact pattern-avoidance counting (Lemma 4.1) reads the same border
+labels.  On fillings whose row and column sums are each 0 or 1, the
+labels form a walk in Young's lattice from () to (): a step along a
+column of sum 1 adds a box, a step along a row of sum 1 removes one,
+and a step along an empty row or column stays put.  The walk determines
+the filling, so counting the walks whose first parts (identity) or part
+counts (anti-identity) stay below k counts the fillings that avoid a
+pattern of size k.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, zip_longest
-from typing import Iterable, NamedTuple, Sequence
+from itertools import zip_longest
+from typing import NamedTuple, Sequence
 
 from .core import (
     Arc,
@@ -150,41 +159,6 @@ def xi_inverse(f: YoungFilling) -> UpperDiagram:
 class PatternKind(Enum):
     IDENTITY = "identity"            # rows grow with columns; nesting side
     ANTI_IDENTITY = "anti_identity"  # rows shrink as columns grow; crossing side
-
-
-def max_pattern_size(cells: Iterable[Cell], shape: tuple[int, ...], kind: PatternKind) -> int:
-    """Size of the largest pattern among arbitrary cells, by a longest-chain
-    DP that knows nothing of growth diagrams."""
-    cs = sorted(cells, key=lambda rc: (rc[1], rc[0]))
-    m = len(cs)
-    if m == 0:
-        return 0
-    if kind is PatternKind.IDENTITY:
-        top = [1] * m
-        for j in range(m):
-            rj, cj = cs[j]
-            for i in range(j):
-                ri, ci = cs[i]
-                if ci < cj and ri < rj:
-                    top[j] = max(top[j], top[i] + 1)
-        return max(top)
-    best = 1
-    for first in range(m):
-        r0, c0 = cs[first]
-        limit = shape[r0 - 1]
-        top = [0] * m
-        top[first] = 1
-        for j in range(first + 1, m):
-            rj, cj = cs[j]
-            if cj > limit or cj <= c0 or rj >= r0:
-                continue
-            top[j] = 2
-            for i in range(first + 1, j):
-                ri, ci = cs[i]
-                if top[i] and ci < cj and ri > rj:
-                    top[j] = max(top[j], top[i] + 1)
-        best = max(best, max(top))
-    return best
 
 
 # --- growth diagrams --------------------------------------------------------
@@ -334,10 +308,6 @@ def _int_fields(line: str) -> tuple[int, ...]:
 
 # --- exact pattern-avoidance counting ------------------------------------
 
-def _column_heights(shape: tuple[int, ...]) -> list[int]:
-    return [sum(1 for w in shape if w >= c) for c in range(1, shape[0] + 1)]
-
-
 def count_avoiders(
     shape: Sequence[int],
     row_sums: Sequence[int],
@@ -345,9 +315,17 @@ def count_avoiders(
     k: int,
     kind: PatternKind,
 ) -> int:
-    """Number of 0/1 fillings with the prescribed row and column sums
-    containing no pattern occurrence of size k.  Exact backtracking over
-    rows; meant for desk-scale shapes."""
+    """Number of 0/1 fillings of the shape with the prescribed row and
+    column sums, each 0 or 1, that contain no pattern of size k.
+
+    A walk along the border from the bottom-left corner to the top-right
+    one adds a box at each column of sum 1 and removes a box at each row
+    of sum 1.  These walks from () to () correspond one to one to the
+    fillings; the labels are the filling's border labels, so by Greene's
+    theorem the largest first part along the walk is its longest identity
+    pattern and the most parts its longest anti-identity.  The count runs
+    over partitions, with the states that reach k dropped.
+    """
     shape = tuple(int(w) for w in shape)
     if not shape or any(w <= 0 for w in shape) or any(
         a < b for a, b in zip(shape, shape[1:])
@@ -359,44 +337,32 @@ def count_avoiders(
         raise InfeasibleSums("one row sum per row")
     if len(col_sums) != shape[0]:
         raise InfeasibleSums("one column sum per column")
-    if any(s < 0 for s in row_sums + col_sums):
-        raise InfeasibleSums("sums are nonnegative")
-    if any(s > w for s, w in zip(row_sums, shape)):
-        raise InfeasibleSums("row sum exceeds row length")
-    heights = _column_heights(shape)
-    if any(s > h for s, h in zip(col_sums, heights)):
-        raise InfeasibleSums("column sum exceeds column height")
+    if any(s not in (0, 1) for s in row_sums + col_sums):
+        raise InfeasibleSums("each row and column sum is 0 or 1")
     if sum(row_sums) != sum(col_sums):
         raise InfeasibleSums("row and column totals differ")
     if k < 1:
         raise InfeasibleSums("pattern size must be at least 1")
 
-    remaining = list(col_sums)
-    cells: list[Cell] = []
-    total = 0
-
-    def place(r: int) -> None:
-        nonlocal total
-        # occurrences only grow as cells are added, so prune early
-        if max_pattern_size(cells, shape, kind) >= k:
-            return
-        if r > len(shape):
-            if all(v == 0 for v in remaining):
-                total += 1
-            return
-        width = shape[r - 1]
-        open_cols = [c for c in range(1, width + 1) if remaining[c - 1] > 0]
-        need = row_sums[r - 1]
-        if need > len(open_cols):
-            return
-        for chosen in combinations(open_cols, need):
-            for c in chosen:
-                remaining[c - 1] -= 1
-                cells.append((r, c))
-            place(r + 1)
-            for c in chosen:
-                remaining[c - 1] += 1
-                cells.pop()
-
-    place(1)
-    return total
+    size = (lambda lam: lam[0]) if kind is PatternKind.IDENTITY else len
+    walks: dict[Partition, int] = {(): 1}
+    corners = border_corners(shape)
+    for (r, c), (next_r, _) in zip(corners, corners[1:]):
+        grow = next_r == r    # a right step over column c+1, else up over row r
+        if not (col_sums[c] if grow else row_sums[r - 1]):
+            continue
+        stepped: dict[Partition, int] = {}
+        for lam, count in walks.items():
+            padded = lam + (0,)
+            if grow:
+                moves = [_add_box(lam, i) for i in range(len(lam) + 1)
+                         if i == 0 or padded[i - 1] > padded[i]]
+                # removing a box never raises either size
+                moves = [mu for mu in moves if size(mu) < k]
+            else:
+                moves = [_remove_box(lam, i) for i in range(len(lam))
+                         if padded[i] > padded[i + 1]]
+            for mu in moves:
+                stepped[mu] = stepped.get(mu, 0) + count
+        walks = stepped
+    return walks.get((), 0)

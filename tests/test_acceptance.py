@@ -22,6 +22,7 @@ from goldens import (
     EX2_DEGREE,
     EX2_SHAPE,
 )
+from oracles import max_pattern_size
 
 from crossnest import (
     PatternKind,
@@ -48,7 +49,6 @@ from crossnest import (
     xi,
     xi_inverse,
 )
-from crossnest.fillings import max_pattern_size
 from crossnest.involution import crossing_nesting_involution
 
 

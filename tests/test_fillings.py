@@ -14,6 +14,7 @@ from goldens import (
     THETA_IMAGES_SHA256,
     THETA_VALUES,
 )
+from oracles import backtracking_avoiders, max_pattern_size
 
 from crossnest import (
     PatternKind,
@@ -39,6 +40,7 @@ from crossnest import (
     xi_inverse,
     young_shape,
 )
+from crossnest.enumeration import _desk_shapes
 from crossnest.errors import (
     InconsistentGrowth,
     InfeasibleSums,
@@ -51,7 +53,6 @@ from crossnest.fillings import (
     border_corners,
     filling_to_text,
     forward_rule,
-    max_pattern_size,
     parse_filling_text,
 )
 
@@ -332,6 +333,32 @@ class TestCountAvoiders:
             count_avoiders((2, 2), (1, 1), (1, 0), 2, I)
         with pytest.raises(InfeasibleSums):
             count_avoiders((2, 1), (0, 2), (1, 1), 2, I)
+
+    def test_sum_of_two_is_infeasible(self):
+        with pytest.raises(InfeasibleSums):
+            count_avoiders((2, 2), (2, 0), (1, 1), 2, I)
+        with pytest.raises(InfeasibleSums):
+            count_avoiders((2, 2), (1, 1), (2, 0), 2, J)
+
+    @pytest.mark.parametrize("kind", [I, J])
+    def test_square_unit_sums_pinned(self, kind):
+        # permutation matrices: Catalan(8) of them avoid a monotone
+        # 3-pattern, and 24,792,705 of the 12! avoid a monotone 4-pattern
+        assert count_avoiders((8,) * 8, (1,) * 8, (1,) * 8, 3, kind) == 1430
+        assert count_avoiders((12,) * 12, (1,) * 12, (1,) * 12, 4, kind) == 24_792_705
+
+    def test_walk_matches_backtracking_on_desk_shapes(self):
+        cases = 0
+        for shape in _desk_shapes(4, 4):
+            for row_sums in product((0, 1), repeat=len(shape)):
+                for col_sums in product((0, 1), repeat=shape[0]):
+                    if sum(row_sums) != sum(col_sums):
+                        continue
+                    for k, kind in product(range(1, 5), (I, J)):
+                        args = (shape, row_sums, col_sums, k, kind)
+                        assert count_avoiders(*args) == backtracking_avoiders(*args), args
+                        cases += 1
+        assert cases == 19_504
 
     def test_staircase_sweep_small(self):
         # identity- and anti-identity-avoiders agree on every shape
