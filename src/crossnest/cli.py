@@ -2,7 +2,10 @@
 
 Subcommands: stats, involute, fill, theta, verify, distribution,
 enumerate.  JSON is the machine interface, plain text is for reading,
-CSV exists only for distribution tables.  Exit codes: 0 success,
+CSV exists only for distribution tables.  Every subcommand writes to
+stdout or to the file named by `--out`; `stats`, `involute` and `theta`
+write their payload as JSON under `--json` and as text otherwise.  Each
+claim of `verify` is one entry of `VERIFIERS`.  Exit codes: 0 success,
 1 a verification ran and failed (the report is still written),
 2 bad usage or bad input, 3 an internal transformation error.
 """
@@ -61,6 +64,11 @@ def _write(text: str, out: str | None) -> None:
         fh.write(text)
 
 
+def _emit(args, payload: dict, text: str) -> None:
+    """Write `payload` as JSON under --json and `text` otherwise."""
+    _write(json.dumps(payload, indent=2) + "\n" if args.json else text, args.out)
+
+
 def _stats_payload(p) -> dict:
     d = upper_diagram(p)
     cro_n, nes_n = _cro_nes(d)
@@ -77,14 +85,19 @@ def _stats_payload(p) -> dict:
     }
 
 
+def _involution_payload(p, image) -> dict:
+    return {
+        "input": str(p),
+        "image": str(image),
+        "before": _stats_payload(p),
+        "after": _stats_payload(image),
+    }
+
+
 def cmd_stats(args) -> int:
     p = parse_permutation(args.perm)
     payload = _stats_payload(p)
-    if args.json:
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = "".join(f"{key}: {value}\n" for key, value in payload.items())
-    _write(text, args.out)
+    _emit(args, payload, "".join(f"{key}: {value}\n" for key, value in payload.items()))
     return EXIT_OK
 
 
@@ -94,25 +107,15 @@ def cmd_involute(args) -> int:
         image = crossing_nesting_involution(p)
     else:
         image = max_chain_involution(p)
-    payload = {
-        "map": args.map,
-        "input": str(p),
-        "image": str(image),
-        "before": _stats_payload(p),
-        "after": _stats_payload(image),
-    }
-    if args.json:
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [f"{image}"]
-        for tag in ("before", "after"):
-            stats = payload[tag]
-            lines.append(
-                f"{tag}: " + " ".join(f"{k}={stats[k]}" for k in
-                                      ("cro", "nes", "cro_star", "nes_star", "wex", "neg"))
-            )
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
+    payload = {"map": args.map, **_involution_payload(p, image)}
+    lines = [f"{image}"]
+    for tag in ("before", "after"):
+        stats = payload[tag]
+        lines.append(
+            f"{tag}: " + " ".join(f"{k}={stats[k]}" for k in
+                                  ("cro", "nes", "cro_star", "nes_star", "wex", "neg"))
+        )
+    _emit(args, payload, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -133,46 +136,39 @@ def cmd_theta(args) -> int:
         return EXIT_OK
     p = parse_permutation(args.perm)
     image = max_chain_involution(p)
-    payload = {
-        "input": str(p),
-        "image": str(image),
-        "before": _stats_payload(p),
-        "after": _stats_payload(image),
-    }
-    if args.json:
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = f"{image}\n"
-    _write(text, args.out)
+    _emit(args, _involution_payload(p, image), f"{image}\n")
     return EXIT_OK
 
 
-# each verifier takes its bound as the first argument and declares its default
+def _verify_involutions(n_max: int = 3) -> VerificationReport:
+    """Both maps' involution suites, merged into one report."""
+    pair = verify_involution_properties(n_max, "pair")
+    chain = verify_involution_properties(n_max, "chain")
+    return VerificationReport(
+        claim="involutions",
+        parameters={"n_max": n_max},
+        passed=pair.passed and chain.passed,
+        counterexamples=[dict(entry, map=tag)
+                         for tag, rep in (("theorem24", pair), ("theta", chain))
+                         for entry in rep.counterexamples],
+        info={"pair_checked": pair.info, "chain_checked": chain.info},
+    )
+
+
+# every claim's verifier takes its bound as the first argument and
+# declares its default, which `verify` uses when --n is absent
 VERIFIERS = {
     "thm24": verify_pair_symmetry,
     "thm27": verify_chain_symmetry,
     "corollary": verify_max_crossing_counts,
     "lemma41": verify_avoider_symmetry,
+    "involutions": _verify_involutions,
 }
 
 
 def cmd_verify(args) -> int:
-    verify = VERIFIERS.get(args.claim)
-    if verify is not None:
-        report = verify() if args.n is None else verify(args.n)
-    else:   # involutions
-        bound = 3 if args.n is None else args.n
-        pair = verify_involution_properties(bound, "pair")
-        chain = verify_involution_properties(bound, "chain")
-        report = VerificationReport(
-            claim="involutions",
-            parameters={"n_max": bound},
-            passed=pair.passed and chain.passed,
-            counterexamples=[dict(entry, map=tag)
-                             for tag, rep in (("theorem24", pair), ("theta", chain))
-                             for entry in rep.counterexamples],
-            info={"pair_checked": pair.info, "chain_checked": chain.info},
-        )
+    verify = VERIFIERS[args.claim]
+    report = verify() if args.n is None else verify(args.n)
     _write(report_to_json(report) + "\n", args.out)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -206,53 +202,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "interchanging involutions, and exhaustive verifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the output options, declared once and shared through `parents`
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    json_out = argparse.ArgumentParser(add_help=False, parents=[out])
+    json_out.add_argument("--json", action="store_true")
 
-    p_stats = sub.add_parser("stats", help="all statistics of one permutation")
+    p_stats = sub.add_parser("stats", parents=[json_out],
+                             help="all statistics of one permutation")
     p_stats.add_argument("perm", help='one-line notation, e.g. "4,-6,3,5,1,-2"')
-    p_stats.add_argument("--json", action="store_true")
-    p_stats.add_argument("--out", default=None)
     p_stats.set_defaults(func=cmd_stats)
 
-    p_inv = sub.add_parser("involute", help="apply an interchanging involution")
+    p_inv = sub.add_parser("involute", parents=[json_out],
+                           help="apply an interchanging involution")
     p_inv.add_argument("perm")
     p_inv.add_argument("--map", choices=("theorem24", "theta"), default="theorem24")
-    p_inv.add_argument("--json", action="store_true")
-    p_inv.add_argument("--out", default=None)
     p_inv.set_defaults(func=cmd_involute)
 
-    p_fill = sub.add_parser("fill", help="Young-diagram filling of a permutation")
+    p_fill = sub.add_parser("fill", parents=[out],
+                            help="Young-diagram filling of a permutation")
     p_fill.add_argument("perm")
-    p_fill.add_argument("--out", default=None)
     p_fill.set_defaults(func=cmd_fill)
 
-    p_theta = sub.add_parser("theta", help="chain-statistic swapping involution")
+    p_theta = sub.add_parser("theta", parents=[json_out],
+                             help="chain-statistic swapping involution")
     p_theta.add_argument("perm", nargs="?", default=None)
     p_theta.add_argument("--from-filling", default=None, metavar="PATH",
                          help="transform a filling file instead of a permutation")
-    p_theta.add_argument("--json", action="store_true")
-    p_theta.add_argument("--out", default=None)
     p_theta.set_defaults(func=cmd_theta)
 
-    p_verify = sub.add_parser("verify", help="run an exhaustive verifier")
-    p_verify.add_argument(
-        "claim",
-        choices=(*VERIFIERS, "involutions"),
-    )
+    p_verify = sub.add_parser("verify", parents=[out], help="run an exhaustive verifier")
+    p_verify.add_argument("claim", choices=VERIFIERS)
     p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_dist = sub.add_parser("distribution", help="joint distribution table")
+    p_dist = sub.add_parser("distribution", parents=[out], help="joint distribution table")
     p_dist.add_argument("--n", type=int, required=True)
     p_dist.add_argument("--schema", default="nes,cro,wex,neg",
                         help=f"comma list from {','.join(STAT_NAMES)}")
     p_dist.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_dist.add_argument("--out", default=None)
     p_dist.set_defaults(func=cmd_distribution)
 
-    p_enum = sub.add_parser("enumerate", help="stream all rank-n permutations")
+    p_enum = sub.add_parser("enumerate", parents=[out], help="stream all rank-n permutations")
     p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--out", default=None)
     p_enum.set_defaults(func=cmd_enumerate)
 
     return parser
@@ -277,10 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except CrossNestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (CrossNestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

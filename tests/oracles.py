@@ -1,14 +1,43 @@
-"""Plain-search oracles for the pattern statistics of fillings.
+"""Plain-search oracles.
 
-They share no code with the growth diagrams: a longest-chain DP over the
+`stat_table` holds every statistic of every permutation of a rank, from
+the object-level functions and the brute-force chain searches; the tests
+check the array kernels and the sweep against it.  The filling oracles
+share no code with the growth diagrams: a longest-chain DP over the
 filled cells, and a row-by-row backtracking count of the fillings that
 avoid a pattern.  The tests check the border labels and the border-walk
 count of `crossnest.fillings` against them.
 """
 
+import functools
 from itertools import combinations
 
-from crossnest import PatternKind
+import numpy as np
+
+from crossnest import (
+    PatternKind,
+    cro,
+    cro_star_brute,
+    enumerate_bn,
+    neg,
+    nes,
+    nes_star_brute,
+    wex,
+)
+
+STAT_COLUMNS = ("cro", "nes", "wex", "neg", "cro_star", "nes_star")
+
+
+@functools.cache
+def stat_table(n):
+    """One row of STAT_COLUMNS per rank-n permutation, in enumerate_bn
+    order; built once per rank and shared by the tests, so it is read-only."""
+    table = np.array([
+        (cro(p), nes(p), wex(p), neg(p), cro_star_brute(p), nes_star_brute(p))
+        for p in enumerate_bn(n)
+    ], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def max_pattern_size(cells, shape, kind):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from goldens import EX1, EX1_IMAGE, EX2, EX2_DEGREE
+from goldens import CLI_GOLDENS, EX1, EX1_IMAGE, EX2, EX2_DEGREE, STATS_EX1_JSON_FILE_SHA256
 
 from crossnest import (
     _kernels,
@@ -28,6 +28,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(CLI_GOLDENS), ids=" ".join)
+def test_output_bytes_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    first_err = err.splitlines()[0] if err else ""
+    assert (sha256(out), code, first_err) == CLI_GOLDENS[argv]
+
+
+def test_json_out_file_bytes_are_pinned(capsys, tmp_path):
+    target = tmp_path / "stats.json"
+    assert run_cli(capsys, "stats", EX1, "--json", "--out", str(target)) == (0, "", "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == STATS_EX1_JSON_FILE_SHA256
 
 
 class TestStats:
@@ -141,7 +158,15 @@ class TestFillAndTheta:
             assert out == ""
             assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("text", ["2,1\n1,x\n", "2,1\n1,1,1\n"])
+    @pytest.mark.parametrize("text", [
+        "2,1\n1,x\n", "2,1\n1,1,1\n",
+        "",                       # no shape line
+        "2,0\n1,1\n",             # a part that is not positive
+        "1,2\n1,1\n2,2\n",        # parts not weakly decreasing
+        "2,1\n1,1\n2,2\n",        # a cell outside the shape
+        "2,2\n1,1\n2,1\n",        # two 1s in one column
+        "2,2\n1,1\n",             # a row with no 1
+    ])
     def test_theta_malformed_filling_is_usage_error(self, capsys, tmp_path, text):
         src = tmp_path / "bad.txt"
         src.write_text(text)

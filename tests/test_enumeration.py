@@ -1,19 +1,18 @@
 import json
 from collections import Counter
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from goldens import EX2, EX2_DEGREE
+from oracles import STAT_COLUMNS, stat_table
 
 from crossnest import (
     SignedPermutation,
     bn_size,
     cro,
     cro_star,
-    cro_star_brute,
     degree_sequence,
     distribution,
     enumerate_bn,
@@ -23,7 +22,6 @@ from crossnest import (
     neg,
     nes,
     nes_star,
-    nes_star_brute,
     parse_permutation,
     verify_avoider_symmetry,
     verify_chain_symmetry,
@@ -35,17 +33,6 @@ from crossnest import (
 from crossnest import _kernels, enumeration
 from crossnest.enumeration import BLOCK_ROWS, report_to_json, signed_values_batch
 from crossnest.errors import RankTooLarge, RepeatedStatistic, UnknownStatistic
-
-
-@lru_cache(maxsize=None)
-def oracle_rows(n):
-    """Every statistic of every rank-n permutation, from the object-level
-    functions and the subset oracles."""
-    return [
-        {"cro": cro(p), "nes": nes(p), "wex": wex(p), "neg": neg(p),
-         "cro_star": cro_star_brute(p), "nes_star": nes_star_brute(p)}
-        for p in enumerate_bn(n)
-    ]
 
 
 def documented_order(n):
@@ -148,7 +135,8 @@ class TestDistribution:
         ("wex", "nes_star", "cro", "neg", "cro_star", "nes"),
     ])
     def test_matches_object_level_oracles(self, n, schema):
-        expected = Counter(tuple(row[name] for name in schema) for row in oracle_rows(n))
+        columns = [STAT_COLUMNS.index(name) for name in schema]
+        expected = Counter(map(tuple, stat_table(n)[:, columns].tolist()))
         table = distribution(n, schema)
         assert table.cells == dict(expected)
         assert table.total == bn_size(n)
@@ -201,6 +189,15 @@ class TestVerifierBounds:
         with pytest.raises(RankTooLarge):
             verify_avoider_symmetry(**bounds)
 
+    @pytest.mark.parametrize("ks", [(), (0,), (2, 0)])
+    def test_pattern_sizes_below_one(self, monkeypatch, ks):
+        # a bad size must fail before any border walk, not skip its cases
+        def refuse(*case):
+            raise AssertionError(f"walked {case}")
+        monkeypatch.setattr(enumeration, "count_avoiders", refuse)
+        with pytest.raises(RankTooLarge):
+            verify_avoider_symmetry(3, 3, ks=ks)
+
 
 class TestPairSymmetry:
     def test_small_ranks_pass(self):
@@ -242,9 +239,10 @@ class TestChainSymmetry:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_class_tables_match_object_level_oracles(self, n):
+        columns = [STAT_COLUMNS.index(name) for name in ("cro_star", "nes_star", "neg")]
         expected = Counter(
-            (str(degree_sequence(p)), row["cro_star"], row["nes_star"], row["neg"])
-            for p, row in zip(enumerate_bn(n), oracle_rows(n))
+            (str(degree_sequence(p)), *row)
+            for p, row in zip(enumerate_bn(n), stat_table(n)[:, columns].tolist())
         )
         cells = enumeration._sweep(n, ("degree", "cro_star", "nes_star"))
         got = {}

@@ -1,42 +1,24 @@
 """Parity between the array kernels and the object-level reference
 implementations."""
 
-import functools
 import hashlib
 
 import numpy as np
 import pytest
 
 from goldens import PAIR_IMAGES_SHA256, THETA_IMAGES_SHA256
+from oracles import stat_table
 
 from crossnest import _kernels as K
 from crossnest import (
-    cro,
-    cro_star_brute,
     crossing_nesting_involution,
     enumerate_bn,
     max_chain_involution,
-    neg,
-    nes,
-    nes_star_brute,
     upper_diagram,
-    wex,
 )
 from crossnest.enumeration import signed_values_batch
 from crossnest.errors import Desynchronized, InconsistentGrowth
 from crossnest.statistics import _chain_sizes
-
-
-@functools.cache
-def reference_rows(n):
-    """Object-level (cro, nes, wex, neg, cro*, nes*) per row; built once per
-    rank and shared by the tests, so it is read-only."""
-    rows = []
-    for p in enumerate_bn(n):
-        rows.append((cro(p), nes(p), wex(p), neg(p), cro_star_brute(p), nes_star_brute(p)))
-    table = np.array(rows, dtype=np.int64)
-    table.flags.writeable = False
-    return table
 
 
 def test_upper_arcs_batch_matches_objects():
@@ -51,7 +33,7 @@ def test_upper_arcs_batch_matches_objects():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_numpy_pair_stats_match_reference(n):
     arcs = K.upper_arcs_batch(signed_values_batch(n))
-    ref = reference_rows(n)
+    ref = stat_table(n)
     got = K.pair_stats_batch(arcs)
     assert (got == ref[:, :4]).all()
 
@@ -59,7 +41,7 @@ def test_numpy_pair_stats_match_reference(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_chain_stats_match_brute_force(n):
     arcs = K.upper_arcs_batch(signed_values_batch(n))
-    ref = reference_rows(n)
+    ref = stat_table(n)
     got = K.chain_stats_batch(arcs)
     assert (got == ref[:, 4:]).all()
 
