@@ -2,7 +2,9 @@
 
 `stat_table` holds every statistic of every permutation of a rank, from
 the object-level functions and the brute-force chain searches; the tests
-check the array kernels and the sweep against it.  The filling oracles
+check the array kernels and the sweep against it.  `argsort_arcs` builds
+the arc tables by sorting each row's arcs by start, the way the sort-free
+`_kernels.upper_arcs_batch` must order them.  The filling oracles
 share no code with the growth diagrams: a longest-chain DP over the
 filled cells, and a row-by-row backtracking count of the fillings that
 avoid a pattern.  The tests check the border labels and the border-walk
@@ -38,6 +40,18 @@ def stat_table(n):
     ], dtype=np.int64)
     table.flags.writeable = False
     return table
+
+
+def argsort_arcs(values):
+    """int64 (P, n, 2) arc tables of one-line arrays: the arc of magnitude
+    i is (i, s(i)) when s(i) >= i and (-i, -s(i)) otherwise, and each
+    row's arcs are reordered by an argsort of their starts."""
+    values = np.asarray(values, dtype=np.int64)
+    idx = np.arange(1, values.shape[1] + 1)
+    keep = values >= idx
+    arcs = np.stack([np.where(keep, idx, -idx), np.where(keep, values, -values)], axis=-1)
+    order = np.argsort(arcs[:, :, 0], axis=1)
+    return np.take_along_axis(arcs, order[:, :, None], axis=1)
 
 
 def max_pattern_size(cells, shape, kind):

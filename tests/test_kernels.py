@@ -7,16 +7,26 @@ import numpy as np
 import pytest
 
 from goldens import PAIR_IMAGES_SHA256, THETA_IMAGES_SHA256
-from oracles import stat_table
+from oracles import argsort_arcs, stat_table
 
 from crossnest import _kernels as K
 from crossnest import (
+    cro,
     crossing_nesting_involution,
     enumerate_bn,
     max_chain_involution,
+    max_crossing_witness,
+    neg,
+    nes,
     upper_diagram,
+    wex,
 )
-from crossnest.enumeration import signed_values_batch
+from crossnest.enumeration import (
+    MAX_ENUM_RANK,
+    _signed_value_blocks,
+    _stat_radix,
+    signed_values_batch,
+)
 from crossnest.errors import Desynchronized, InconsistentGrowth
 from crossnest.statistics import _chain_sizes
 
@@ -28,6 +38,25 @@ def test_upper_arcs_batch_matches_objects():
         for row, p in zip(arcs, enumerate_bn(n)):
             expected = sorted(upper_diagram(p).arcs)
             assert [tuple(a) for a in row] == [tuple(a) for a in expected]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_upper_arcs_batch_matches_argsort_oracle(n):
+    for values in _signed_value_blocks(n):
+        arcs = K.upper_arcs_batch(values)
+        assert arcs.dtype == np.int8
+        assert np.array_equal(arcs, argsort_arcs(values))
+    assert K.pair_stats_batch(arcs).dtype == np.int64
+    assert K.chain_stats_batch(arcs).dtype == np.int64
+
+
+def test_int8_counts_hold_the_guard_rank():
+    # raising MAX_ENUM_RANK past 16 overflows the int8 cro and nes counters
+    assert _stat_radix(MAX_ENUM_RANK, "cro") - 1 <= np.iinfo(np.int8).max
+    assert _stat_radix(MAX_ENUM_RANK, "nes") - 1 <= np.iinfo(np.int8).max
+    p = max_crossing_witness(8)
+    got = K.pair_stats_batch(K.upper_arcs_batch(np.array([p.values])))
+    assert got.tolist() == [[28, nes(p), wex(p), neg(p)]] and cro(p) == 28
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
