@@ -1,20 +1,20 @@
 """Array kernels for the exhaustive sweeps.
 
 Enumerating all 2^n * n! signed permutations of a rank and computing
-statistics for each one is the only hot loop in this package.  The
-kernels here work on int8 arc tables of shape (P, n, 2), arcs sorted
-by start within each row; `enumeration` feeds them blocks of about
-`BLOCK_ROWS` rows (`INVOLUTION_BLOCK_ROWS` for the involution suites),
-so P stays small whatever the rank.  The pair statistics loop over the
-n(n-1)/2 column pairs of the table, each step a few operations on 1-D
-columns of length P; the chain statistics are DPs over the same column
-pairs (and, for crossings, the column triples between a chain's first
-arc and its last).  The pair involution is the rank-mirror scan of
-`involution` on (P, n) one-line arrays: one walk over the 2n vertex
-columns, with its open lists as (P, 2n) masks.  The chain involution is
-the growth-diagram map of `fillings` on the same arrays: Fomin's local
-rules, one cell of the n x n grid at a time, each step on the labels of
-that cell's corners for every row of the block.
+statistics for each one is the only hot loop in this package.  All four
+kernels read one layout, the int8 arc table of `upper_arcs_batch`, shape
+(P, n, 2), arcs sorted by start within each row; `enumeration` feeds
+them blocks of about `BLOCK_ROWS` rows (`INVOLUTION_BLOCK_ROWS` for the
+involution suites), so P stays small whatever the rank.  The pair
+statistics loop over the n(n-1)/2 column pairs of the table, each step
+a few operations on 1-D columns of length P; the chain statistics are
+DPs over the same column pairs (and, for crossings, the column triples
+between a chain's first arc and its last).  The two involutions map
+(P, n) one-line arrays to one-line arrays.  The pair involution is the
+rank-mirror scan of `involution`: one walk over the 2n vertex columns,
+with its open lists as (P, 2n) masks.  The chain involution is the
+growth-diagram map of `fillings`: Fomin's local rules, one cell of the
+n x n grid at a time, on the labels of that cell's corners for every row.
 
 The patience sorting and the subset brute-force oracles in `statistics`,
 and the scalar `involution.crossing_nesting_involution` and
@@ -26,19 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Desynchronized, InconsistentGrowth
-
-
-def _arc_ends(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends), each (P, n), of the arcs in magnitude order.
-
-    values[p, i-1] = s(i); the arc for magnitude i starts at i when
-    s(i) >= i and at -i otherwise.
-    """
-    values = np.asarray(values, dtype=np.int64)
-    idx = np.arange(1, values.shape[1] + 1, dtype=np.int64)
-    keep = values >= idx
-    return np.where(keep, idx, -idx), np.where(keep, values, -values)
+from .errors import Desynchronized, InconsistentGrowth, RankTooLarge
 
 
 def _column(vertex: np.ndarray, n: int) -> np.ndarray:
@@ -47,20 +35,37 @@ def _column(vertex: np.ndarray, n: int) -> np.ndarray:
     return vertex + n - (vertex > 0)
 
 
+def _line(n: int) -> np.ndarray:
+    """The vertex in each of the 2n columns: the inverse of `_column`."""
+    return np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
+
+
+def _one_line(opens: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """(P, n) one-line arrays of arcs laid out on the 2n vertex columns:
+    opens marks where each arc starts, and ends holds its end there.  The
+    arc of magnitude i ends at s(i) when it starts at i, at -s(i) when it
+    starts at -i.  ends is 0 off the starts, so a magnitude without an
+    arc, or whose arc never closed, gets 0."""
+    n = opens.shape[1] // 2
+    return np.where(opens[:, n:], ends[:, n:], -ends[:, n - 1::-1])
+
+
 def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
     """int8 arc tables for a batch of one-line arrays, sorted by start.
 
     Magnitude i opens its arc at -i or at i, so each row opens exactly n
     of the 2n vertex columns, and reading a row's open columns left to
-    right lists its arcs in start order, with no sort.  No endpoint
-    exceeds the rank, and the enumeration guard keeps that far below 127.
+    right lists its arcs in start order, with no sort.  A rank above 127,
+    whose vertices int8 cannot hold, raises RankTooLarge.
     """
+    p, n = np.shape(values)
+    if n > 127:
+        raise RankTooLarge(f"rank {n} does not fit int8 arc tables (at most 127)")
     values = np.asarray(values, dtype=np.int8)
-    p, n = values.shape
     idx = np.arange(1, n + 1, dtype=np.int8)
     keep = values >= idx
     vertices = np.concatenate([-idx, idx])
-    cols = _column(vertices, n)
+    cols = _column(vertices.astype(np.int64), n)   # up to 2n - 1, past int8
     opens = np.empty((p, 2 * n), dtype=bool)
     opens[:, cols] = np.concatenate([~keep, keep], axis=1)
     line = np.empty((p, 2 * n, 2), dtype=np.int8)   # the arc opening each column
@@ -78,12 +83,14 @@ def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
     when b ends beyond a and nest when it ends inside a.  When b starts
     where a ends, they cross exactly when that shared vertex is positive.
     cro and nes are counted in int8, which holds the n(n-1)/2 pairs up to
-    rank 16.
+    rank 16; a larger rank raises RankTooLarge.
     """
     # column-major copies: S[a] is the start of arc a in every row
     S = np.ascontiguousarray(arcs[:, :, 0].T)
     E = np.ascontiguousarray(arcs[:, :, 1].T)
     n, p = S.shape
+    if n > 16:
+        raise RankTooLarge(f"rank {n} overflows the int8 cro/nes counters (at most 16)")
     cro = np.zeros(p, dtype=np.int8)
     nes = np.zeros(p, dtype=np.int8)
     for a in range(n):
@@ -139,21 +146,6 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
 
 # --- the pair involution: the rank-mirror scan ----------------------------
 
-def _vertex_tables(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(opens, partner), each (P, 2n) over the vertex columns -n, ..., -1,
-    1, ..., n: opens marks the columns where an arc starts, and partner
-    holds the start column of the arc that ends at a column, or -1."""
-    starts, ends = _arc_ends(values)
-    p, n = starts.shape
-    first = _column(starts, n)
-    rows = np.arange(p)[:, None]
-    opens = np.zeros((p, 2 * n), dtype=bool)
-    opens[rows, first] = True
-    partner = np.full((p, 2 * n), -1, dtype=np.int64)
-    partner[rows, _column(ends, n)] = first
-    return opens, partner
-
-
 def pair_involution_batch(values: np.ndarray) -> np.ndarray:
     """Images of a (P, n) block of one-line arrays under the pair map,
     whose scalar reference is `involution.crossing_nesting_involution`.
@@ -162,41 +154,44 @@ def pair_involution_batch(values: np.ndarray) -> np.ndarray:
     masks over the vertex columns; oldest first is left to right.  At a
     closer, r counts the open source arcs that start before the partner,
     and the image closes its (k-1-r)-th oldest of k open arcs.  A row
-    whose partner is not open, or whose image is not a signed
-    permutation, raises Desynchronized.
+    whose partner is not open, or whose image is not a signed permutation
+    (which covers a table arc that never closes), raises Desynchronized.
     """
-    values = np.asarray(values, dtype=np.int64)
-    opens, partner = _vertex_tables(values)
-    p, width = opens.shape
-    n = width // 2
-    cols = np.arange(width)
-    vertex = cols - n + (cols >= n)
+    values = np.asarray(values)
+    arcs = upper_arcs_batch(values)
+    p, n = arcs.shape[:2]
+    starts, ends = np.moveaxis(_column(arcs.astype(np.int64), n), 2, 0)
+    rows = np.arange(p)[:, None]
+    opens = np.zeros((p, 2 * n), dtype=bool)
+    opens[rows, starts] = True
+    partner = np.full((p, 2 * n), -1, dtype=np.int64)
+    partner[rows, ends] = starts
+    vertex = _line(n)
+    cols = np.arange(2 * n)
     source = np.zeros_like(opens)
     image = np.zeros_like(opens)
-    ends = np.zeros((p, width), dtype=np.int64)   # image arc end by start column
-    for c in range(width):
+    image_end = np.zeros((p, 2 * n), dtype=np.int64)   # by start column
+    for c in range(2 * n):
         if c >= n:      # a positive vertex joins before it closes
             source[:, c] = image[:, c] = opens[:, c]
-        rows = np.flatnonzero(partner[:, c] >= 0)
-        start = partner[rows, c]
-        lost = ~source[rows, start]
+        closing = np.flatnonzero(partner[:, c] >= 0)
+        start = partner[closing, c]
+        lost = ~source[closing, start]
         if lost.any():
-            row = rows[lost.argmax()]
+            row = closing[lost.argmax()]
             raise Desynchronized(f"row {values[row].tolist()}: closer {vertex[c]}: "
                                  f"partner {vertex[partner[row, c]]} is not open")
-        r = (source[rows] & (cols < start[:, None])).sum(axis=1)
-        held = image[rows]
+        r = (source[closing] & (cols < start[:, None])).sum(axis=1)
+        held = image[closing]
         k = held.sum(axis=1)
         mirror = (held & (held.cumsum(axis=1) == (k - r)[:, None])).argmax(axis=1)
-        source[rows, start] = False
-        image[rows, mirror] = False
-        ends[rows, mirror] = vertex[c]
+        source[closing, start] = False
+        image[closing, mirror] = False
+        image_end[closing, mirror] = vertex[c]
         if c < n:       # a negative vertex joins after it closes
             source[:, c] = image[:, c] = opens[:, c]
-    positive, negative = opens[:, n:], opens[:, n - 1::-1]
-    out = np.where(positive, ends[:, n:], -ends[:, n - 1::-1])
-    broken = ((positive == negative).any(axis=1) | (opens & (ends == 0)).any(axis=1)
-              | (np.sort(np.abs(out), axis=1) != np.arange(1, n + 1)).any(axis=1))
+    out = _one_line(opens, image_end)
+    broken = (np.sort(np.abs(out), axis=1) != np.arange(1, n + 1)).any(axis=1)
     if broken.any():
         row = broken.argmax()
         raise Desynchronized(f"row {values[row].tolist()}: image {out[row].tolist()} "
@@ -255,35 +250,42 @@ def theta_batch(values: np.ndarray) -> np.ndarray:
     whose scalar reference is `fillings.max_chain_involution`.
 
     Each row is encoded as the filling of `fillings.xi`: row r (1 on top)
-    stands for the r-th largest closer and has its `young_shape` width,
-    and the arc of each magnitude fills the cell in row n - #closers
-    below its end and column 1 + #openers below its start.  The labels of
-    all (n+1)^2 corners of the n x n grid, with n+1 parts each, grow by
-    Fomin's forward rules; cells outside a row's shape hold no 1, so the
-    labels on and inside the shape are the filling's own.  All labels are
-    conjugated; a corner (r, c) keeps its conjugated label when
-    c >= width(r+1), which puts it on or beyond the shape's outer border,
-    and the backward rules rebuild the others, bottom row first and right
-    to left.  A corner that breaks the backward rules, a box left on the
-    top or left edge, or an image that is not a signed permutation raises
-    InconsistentGrowth.
+    stands for the r-th largest closer, column c for arc c of the table,
+    and each arc fills its closer's row in its own column.  Read right to
+    left, the close columns of the (P, 2n) vertex masks give the rows,
+    the column of each row's 1, and each row's `young_shape` width from a
+    cumsum of the open mask that counts the closer only when it is a
+    positive opener.
+    The labels of all (n+1)^2 corners of the n x n grid, with n+1 parts
+    each, grow by Fomin's forward rules; cells outside a row's shape hold
+    no 1, so the labels on and inside the shape are the filling's own.
+    All labels are conjugated; a corner (r, c) keeps its conjugated label
+    when c >= width(r+1), which puts it on or beyond the shape's outer
+    border, and the backward rules rebuild the others, bottom row first
+    and right to left.  A corner that breaks the backward rules, a box
+    left on the top or left edge, or an image that is not a signed
+    permutation raises InconsistentGrowth.
     """
-    values = np.asarray(values, dtype=np.int64)
-    p, n = values.shape
-    rows = np.arange(p)
-    starts, ends = _arc_ends(values)
-    openers, closers = np.sort(starts, axis=1), np.sort(ends, axis=1)[:, ::-1]
-    # width[:, r] is the width of row r + 1, whose closer is closers[:, r]
-    width = ((openers[:, None, :] < closers[:, :, None]).sum(axis=2)
-             + ((closers > 0) & (openers[:, None, :] == closers[:, :, None]).any(axis=2)))
-    column = np.zeros((p, n + 1), dtype=np.int64)   # column of row r's 1
-    column[rows[:, None], n - (ends[:, :, None] > ends[:, None, :]).sum(axis=2)] = (
-        1 + (starts[:, :, None] > starts[:, None, :]).sum(axis=2))
+    values = np.asarray(values)
+    arcs = upper_arcs_batch(values)
+    p, n = arcs.shape[:2]
+    starts, ends = np.moveaxis(_column(arcs.astype(np.int64), n), 2, 0)
+    rows = np.arange(p)[:, None]
+    opens = np.zeros((p, 2 * n), dtype=bool)
+    opens[rows, starts] = True
+    arc_at = np.zeros((p, 2 * n), dtype=np.int64)   # 1 + the index of the arc ending there
+    arc_at[rows, ends] = np.arange(1, n + 1)
+    vertex = _line(n)
+    closes = arc_at[:, ::-1] > 0                     # rows 1, ..., n, left to right
+    closers = np.broadcast_to(vertex[::-1], (p, 2 * n))[closes].reshape(p, n)
+    # width[:, r] is the width of row r + 1, and column[:, r] the column of its 1
+    width = (opens.cumsum(axis=1) - opens * (vertex < 0))[:, ::-1][closes].reshape(p, n)
+    column = arc_at[:, ::-1][closes].reshape(p, n)
     labels = np.zeros((n + 1, n + 1, n + 1, p), dtype=np.int8)
     for r in range(1, n + 1):
         for c in range(1, n + 1):
             labels[r, c] = _forward_rule(labels[r - 1, c - 1], labels[r - 1, c],
-                                         labels[r, c - 1], column[:, r] == c)
+                                         labels[r, c - 1], column[:, r - 1] == c)
     labels = _conjugate(labels)
     ones = np.zeros((p, n, n), dtype=bool)          # the image's cell (r+1, c+1)
     for r in range(n - 1, -1, -1):
@@ -311,7 +313,6 @@ def theta_batch(values: np.ndarray) -> np.ndarray:
         raise InconsistentGrowth(f"row {values[row].tolist()}: the rebuilt filling "
                                  "is not a signed permutation")
     # row r + 1 joins the opener of its 1's column to closers[:, r]
-    start = np.take_along_axis(openers, ones.argmax(axis=2), axis=1)
-    out = np.zeros_like(values)
-    out[rows[:, None], np.abs(start) - 1] = np.sign(start) * closers
-    return out
+    image_end = np.zeros((p, 2 * n), dtype=np.int64)
+    image_end[rows, np.take_along_axis(starts, ones.argmax(axis=2), axis=1)] = closers
+    return _one_line(opens, image_end)

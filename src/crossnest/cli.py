@@ -3,11 +3,12 @@
 Subcommands: stats, involute, fill, theta, verify, distribution,
 enumerate.  JSON is the machine interface, plain text is for reading,
 CSV exists only for distribution tables.  Every subcommand writes to
-stdout or to the file named by `--out`; `stats`, `involute` and `theta`
-write their payload as JSON under `--json` and as text otherwise.  Each
-claim of `verify` is one entry of `VERIFIERS`.  Exit codes: 0 success,
-1 a verification ran and failed (the report is still written),
-2 bad usage or bad input, 3 an internal transformation error.
+stdout or to the file named by `--out`; `stats`, `involute`, `theta`
+and `distribution` write their payload as JSON under `--json` and as
+text (CSV for `distribution`) otherwise.  Each claim of `verify` is one
+entry of `VERIFIERS`.  Exit codes: 0 success, 1 a verification ran and
+failed (the report is still written), 2 bad usage or bad input, 3 an
+internal transformation error.
 """
 
 from __future__ import annotations
@@ -176,11 +177,7 @@ def cmd_verify(args) -> int:
 def cmd_distribution(args) -> int:
     schema = tuple(name.strip() for name in args.schema.split(","))
     table = distribution(args.n, schema)
-    if args.format == "json":
-        text = json.dumps(table.to_json_obj(), indent=2) + "\n"
-    else:
-        text = table.to_csv()
-    _write(text, args.out)
+    _emit(args, table.to_json_obj(), table.to_csv())
     return EXIT_OK
 
 
@@ -236,11 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_dist = sub.add_parser("distribution", parents=[out], help="joint distribution table")
+    p_dist = sub.add_parser("distribution", parents=[json_out],
+                            help="joint distribution table, CSV unless --json")
     p_dist.add_argument("--n", type=int, required=True)
     p_dist.add_argument("--schema", default="nes,cro,wex,neg",
                         help=f"comma list from {','.join(STAT_NAMES)}")
-    p_dist.add_argument("--format", choices=("csv", "json"), default="csv")
     p_dist.set_defaults(func=cmd_distribution)
 
     p_enum = sub.add_parser("enumerate", parents=[out], help="stream all rank-n permutations")

@@ -32,7 +32,8 @@ class IndexOutOfRange(CrossNestError, ValueError):
 
 class RankTooLarge(CrossNestError, ValueError):
     """Exhaustive enumeration requested outside the guarded range (a rank
-    outside 1..MAX_ENUM_RANK, or a verifier bound below 1)."""
+    outside 1..MAX_ENUM_RANK, or a verifier bound below 1), or a rank
+    past what the int8 array kernels hold."""
 
 
 class UnknownStatistic(CrossNestError, ValueError):

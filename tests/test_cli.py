@@ -301,15 +301,15 @@ class TestVerify:
         assert err.startswith("internal error:") and len(err.splitlines()) == 1
 
     def test_involutions_desynchronized_exits_3(self, capsys, monkeypatch):
-        tables = _kernels._vertex_tables
+        arcs = _kernels.upper_arcs_batch
 
         def broken(values):
             # the leftmost vertex closes an arc of its own before any opens
-            opens, partner = tables(values)
-            partner[:, 0] = 0
-            return opens, partner
+            table = arcs(values)
+            table[:, 0] = -table.shape[1]
+            return table
 
-        monkeypatch.setattr(_kernels, "_vertex_tables", broken)
+        monkeypatch.setattr(_kernels, "upper_arcs_batch", broken)
         code, out, err = run_cli(capsys, "verify", "involutions", "--n", "2")
         assert code == 3 and out == ""
         assert err.startswith("internal error:") and len(err.splitlines()) == 1
@@ -343,7 +343,7 @@ class TestDistribution:
         assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == 8
 
     def test_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "distribution", "--n", "1", "--format", "json")
+        code, out, _ = run_cli(capsys, "distribution", "--n", "1", "--json")
         rows = json.loads(out)
         assert sum(r["count"] for r in rows) == 2
 
@@ -360,10 +360,10 @@ class TestDistribution:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["csv", "json"])
     def test_repeated_statistic_is_usage_error(self, capsys, fmt):
         code, out, err = run_cli(capsys, "distribution", "--n", "2",
-                                 "--schema", "cro,cro", "--format", fmt)
+                                 "--schema", "cro,cro", *fmt)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1

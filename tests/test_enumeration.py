@@ -400,8 +400,14 @@ class TestInvolutionSuite:
         assert {c["failure"] for c in report.counterexamples} == {
             "statistic_swap", "wex_preservation", "neg_preservation",
             "degree_preservation", "involution"}
-        # same records, fields and order, so the JSON is byte for byte the same
-        assert json.dumps(report.counterexamples) == json.dumps(expected)
+        # same records, fields and order, so the JSON is byte for byte the
+        # same; the cheap comparisons come first because pytest's diff of
+        # two long unequal JSON strings runs for minutes
+        assert len(report.counterexamples) == len(expected)
+        assert report.counterexamples == expected
+        assert [list(c) for c in report.counterexamples] == [list(r) for r in expected]
+        same_bytes = json.dumps(report.counterexamples) == json.dumps(expected)
+        assert same_bytes
 
     def test_chain_map_rank_six(self):
         report = verify_involution_properties(6, "chain")

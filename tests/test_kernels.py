@@ -27,7 +27,7 @@ from crossnest.enumeration import (
     _stat_radix,
     signed_values_batch,
 )
-from crossnest.errors import Desynchronized, InconsistentGrowth
+from crossnest.errors import Desynchronized, InconsistentGrowth, RankTooLarge
 from crossnest.statistics import _chain_sizes
 
 
@@ -100,32 +100,39 @@ def test_pair_involution_batch_images_match_pinned_map():
     assert hashlib.sha256(text.encode()).hexdigest() == PAIR_IMAGES_SHA256
 
 
-def tables(n, opens, arcs):
-    """Vertex tables for one row, from vertex labels: the opening vertices
-    and the (start, end) arcs, unchecked."""
-    def col(v):
-        return v + n - (v > 0)
-    open_mask = np.zeros((1, 2 * n), dtype=bool)
-    partner = np.full((1, 2 * n), -1, dtype=np.int64)
-    for v in opens:
-        open_mask[0, col(v)] = True
-    for start, end in arcs:
-        partner[0, col(end)] = col(start)
-    return open_mask, partner
+def broken_arcs(*arcs):
+    """A one-row int8 arc table from (start, end) vertex pairs, unchecked."""
+    return lambda values: np.array([arcs], dtype=np.int8)
 
 
 def test_pair_involution_batch_partner_not_open(monkeypatch):
     # a loop at a negative vertex closes before it opens
-    monkeypatch.setattr(K, "_vertex_tables", lambda values: tables(1, [-1], [(-1, -1)]))
+    monkeypatch.setattr(K, "upper_arcs_batch", broken_arcs((-1, -1)))
     with pytest.raises(Desynchronized, match="closer -1: partner -1 is not open"):
         K.pair_involution_batch(np.array([[1]]))
 
 
 def test_pair_involution_batch_image_not_a_permutation(monkeypatch):
-    # the arc from 1 never closes, so the image has no value at 1
-    monkeypatch.setattr(K, "_vertex_tables", lambda values: tables(1, [1], []))
-    with pytest.raises(Desynchronized, match="is not a signed permutation"):
-        K.pair_involution_batch(np.array([[1]]))
+    # two arcs end at 1, where the scan closes only one image arc: the
+    # image's arc from -1 never closes, so it has no value at 1
+    monkeypatch.setattr(K, "upper_arcs_batch", broken_arcs((-2, 1), (-1, 1)))
+    with pytest.raises(Desynchronized, match=r"row \[1, 2\]: .* is not a signed permutation"):
+        K.pair_involution_batch(np.array([[1, 2]]))
+
+
+def test_int8_tables_reject_larger_ranks():
+    # cro and nes wrap in int8 past rank 16, arc vertices past rank 127
+    with pytest.raises(RankTooLarge, match="rank 17"):
+        K.pair_stats_batch(K.upper_arcs_batch(np.arange(1, 18)[None]))
+    identity = np.arange(1, 129)[None]
+    for kernel in (K.upper_arcs_batch, K.pair_involution_batch, K.theta_batch):
+        with pytest.raises(RankTooLarge, match="rank 128"):
+            kernel(identity)
+
+
+def test_arc_tables_hold_rank_127():
+    values = np.random.default_rng(127).permutation(np.arange(1, 128)) * np.tile([1, -1], 64)[:127]
+    assert np.array_equal(K.upper_arcs_batch(values[None]), argsort_arcs(values[None]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
