@@ -9,12 +9,13 @@ involution suites), so P stays small whatever the rank.  The pair
 statistics loop over the n(n-1)/2 column pairs of the table, each step
 a few operations on 1-D columns of length P; the chain statistics are
 DPs over the same column pairs (and, for crossings, the column triples
-between a chain's first arc and its last).  The two involutions map
-(P, n) one-line arrays to one-line arrays.  The pair involution is the
-rank-mirror scan of `involution`: one walk over the 2n vertex columns,
-with its open lists as (P, 2n) masks.  The chain involution is the
-growth-diagram map of `fillings`: Fomin's local rules, one cell of the
-n x n grid at a time, on the labels of that cell's corners for every row.
+between a chain's first arc and its last).  The two involutions map arc
+tables to arc tables that keep every start, and so the start order.
+The pair involution is the rank-mirror scan of `involution`: one walk
+over the 2n vertex columns, with its open lists as (P, 2n) masks.  The
+chain involution is the growth-diagram map of `fillings`: Fomin's local
+rules, one cell of the n x n grid at a time, on the labels of that
+cell's corners for every row.
 
 The patience sorting and the subset brute-force oracles in `statistics`,
 and the scalar `involution.crossing_nesting_involution` and
@@ -40,16 +41,6 @@ def _line(n: int) -> np.ndarray:
     return np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
 
 
-def _one_line(opens: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """(P, n) one-line arrays of arcs laid out on the 2n vertex columns:
-    opens marks where each arc starts, and ends holds its end there.  The
-    arc of magnitude i ends at s(i) when it starts at i, at -s(i) when it
-    starts at -i.  ends is 0 off the starts, so a magnitude without an
-    arc, or whose arc never closed, gets 0."""
-    n = opens.shape[1] // 2
-    return np.where(opens[:, n:], ends[:, n:], -ends[:, n - 1::-1])
-
-
 def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
     """int8 arc tables for a batch of one-line arrays, sorted by start.
 
@@ -73,6 +64,15 @@ def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
     line[:, cols, 1] = np.concatenate([-values, values], axis=1)
     return line.reshape(-1, 2).take(np.flatnonzero(opens), axis=0).reshape(p, n, 2)
 
+
+def one_line_batch(arcs: np.ndarray) -> np.ndarray:
+    """(P, n) int64 one-line arrays of arc tables, the inverse of
+    `upper_arcs_batch`: the arc of magnitude i ends at s(i) when it starts
+    at i, at -s(i) when it starts at -i."""
+    starts, ends = np.moveaxis(arcs.astype(np.int64), 2, 0)
+    values = np.zeros_like(starts)
+    np.put_along_axis(values, np.abs(starts) - 1, np.sign(starts) * ends, axis=1)
+    return values
 
 # --- pair statistics: cro, nes, wex, neg ---------------------------------
 
@@ -146,19 +146,17 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
 
 # --- the pair involution: the rank-mirror scan ----------------------------
 
-def pair_involution_batch(values: np.ndarray) -> np.ndarray:
-    """Images of a (P, n) block of one-line arrays under the pair map,
-    whose scalar reference is `involution.crossing_nesting_involution`.
+def pair_involution_batch(arcs: np.ndarray) -> np.ndarray:
+    """The image under the pair map of a (P, n, 2) arc table, whose scalar
+    reference is `involution.crossing_nesting_involution`.
 
     The same rank-mirror scan, with the two open lists kept as (P, 2n)
     masks over the vertex columns; oldest first is left to right.  At a
     closer, r counts the open source arcs that start before the partner,
     and the image closes its (k-1-r)-th oldest of k open arcs.  A row
-    whose partner is not open, or whose image is not a signed permutation
-    (which covers a table arc that never closes), raises Desynchronized.
+    whose partner is not open, or whose new ends are not 1..n in magnitude
+    (an arc that never closes ends at 0), raises Desynchronized.
     """
-    values = np.asarray(values)
-    arcs = upper_arcs_batch(values)
     p, n = arcs.shape[:2]
     starts, ends = np.moveaxis(_column(arcs.astype(np.int64), n), 2, 0)
     rows = np.arange(p)[:, None]
@@ -179,7 +177,7 @@ def pair_involution_batch(values: np.ndarray) -> np.ndarray:
         lost = ~source[closing, start]
         if lost.any():
             row = closing[lost.argmax()]
-            raise Desynchronized(f"row {values[row].tolist()}: closer {vertex[c]}: "
+            raise Desynchronized(f"row {one_line_batch(arcs)[row].tolist()}: closer {vertex[c]}: "
                                  f"partner {vertex[partner[row, c]]} is not open")
         r = (source[closing] & (cols < start[:, None])).sum(axis=1)
         held = image[closing]
@@ -190,12 +188,13 @@ def pair_involution_batch(values: np.ndarray) -> np.ndarray:
         image_end[closing, mirror] = vertex[c]
         if c < n:       # a negative vertex joins after it closes
             source[:, c] = image[:, c] = opens[:, c]
-    out = _one_line(opens, image_end)
-    broken = (np.sort(np.abs(out), axis=1) != np.arange(1, n + 1)).any(axis=1)
+    out = arcs.copy()
+    out[:, :, 1] = np.take_along_axis(image_end, starts, axis=1)
+    broken = (np.sort(np.abs(out[:, :, 1]), axis=1) != np.arange(1, n + 1)).any(axis=1)
     if broken.any():
         row = broken.argmax()
-        raise Desynchronized(f"row {values[row].tolist()}: image {out[row].tolist()} "
-                             "is not a signed permutation")
+        raise Desynchronized(f"row {one_line_batch(arcs)[row].tolist()}: image "
+                             f"{one_line_batch(out)[row].tolist()} is not a signed permutation")
     return out
 
 
@@ -245,9 +244,9 @@ def _partition(label: np.ndarray) -> tuple[int, ...]:
     return tuple(part for part in label.tolist() if part)
 
 
-def theta_batch(values: np.ndarray) -> np.ndarray:
-    """Images of a (P, n) block of one-line arrays under the chain map,
-    whose scalar reference is `fillings.max_chain_involution`.
+def theta_batch(arcs: np.ndarray) -> np.ndarray:
+    """The image under the chain map of a (P, n, 2) arc table, whose
+    scalar reference is `fillings.max_chain_involution`.
 
     Each row is encoded as the filling of `fillings.xi`: row r (1 on top)
     stands for the r-th largest closer, column c for arc c of the table,
@@ -266,8 +265,6 @@ def theta_batch(values: np.ndarray) -> np.ndarray:
     left on the top or left edge, or an image that is not a signed
     permutation raises InconsistentGrowth.
     """
-    values = np.asarray(values)
-    arcs = upper_arcs_batch(values)
     p, n = arcs.shape[:2]
     starts, ends = np.moveaxis(_column(arcs.astype(np.int64), n), 2, 0)
     rows = np.arange(p)[:, None]
@@ -297,7 +294,7 @@ def theta_batch(values: np.ndarray) -> np.ndarray:
             if broken.any():
                 row = broken.argmax()
                 raise InconsistentGrowth(
-                    f"row {values[row].tolist()}: corner ({r + 1},{c + 1}) "
+                    f"row {one_line_batch(arcs)[row].tolist()}: corner ({r + 1},{c + 1}) "
                     f"{_partition(rho[:, row])} cannot sit below {_partition(mu[:, row])} "
                     f"and right of {_partition(nu[:, row])}")
             np.copyto(labels[r, c], lam, where=~border)
@@ -305,14 +302,14 @@ def theta_batch(values: np.ndarray) -> np.ndarray:
     edges = labels[0].any(axis=(0, 1)) | labels[:, 0].any(axis=(0, 1))
     if edges.any():
         row = edges.argmax()
-        raise InconsistentGrowth(f"row {values[row].tolist()}: rebuilding left a box "
-                                 "on the top or left edge")
+        raise InconsistentGrowth(f"row {one_line_batch(arcs)[row].tolist()}: "
+                                 "rebuilding left a box on the top or left edge")
     broken = (ones.sum(axis=1) != 1).any(axis=1) | (ones.sum(axis=2) != 1).any(axis=1)
     if broken.any():
         row = broken.argmax()
-        raise InconsistentGrowth(f"row {values[row].tolist()}: the rebuilt filling "
-                                 "is not a signed permutation")
-    # row r + 1 joins the opener of its 1's column to closers[:, r]
-    image_end = np.zeros((p, 2 * n), dtype=np.int64)
-    image_end[rows, np.take_along_axis(starts, ones.argmax(axis=2), axis=1)] = closers
-    return _one_line(opens, image_end)
+        raise InconsistentGrowth(f"row {one_line_batch(arcs)[row].tolist()}: "
+                                 "the rebuilt filling is not a signed permutation")
+    # row r + 1 closes the arc of its 1's column at closers[:, r]
+    out = arcs.copy()
+    out[rows, ones.argmax(axis=2), 1] = closers
+    return out

@@ -50,7 +50,7 @@ class SignedPermutation:
         if not self.values:
             raise RankViolation("a signed permutation has rank at least 1")
         for v in self.values:
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise MalformedToken(f"entry {v!r} is not an integer")
             if v == 0:
                 raise ZeroEntry("0 is not a vertex")

@@ -6,11 +6,11 @@ involutions in `involution` and `fillings`: a distribution table is
 built over the full rank (or over one degree-sequence class) and checked
 for symmetry key by key.  The involution property suite is a separate
 claim that applies the maps and confirms their documented behaviour.
-Both maps run on blocks of `INVOLUTION_BLOCK_ROWS` one-line arrays, with
-the statistics compared column by column.  The maps are the array kernels
-`_kernels.pair_involution_batch` and `_kernels.theta_batch`, whose
-references, the scalar `crossing_nesting_involution` and
-`max_chain_involution`, are checked against them in the tests.
+Both maps take one arc table per block of `INVOLUTION_BLOCK_ROWS` rows
+and return the images' tables, with the statistics compared column by
+column.  The maps, `_kernels.pair_involution_batch` and `theta_batch`,
+are checked in the tests against their scalar references,
+`crossing_nesting_involution` and `max_chain_involution`.
 
 Every counting verifier goes through `_sweep`, which streams the rank in
 blocks of about `BLOCK_ROWS` one-line arrays (whole magnitude
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .core import DegreeSequence, SignedPermutation
-from .errors import RankTooLarge, RepeatedStatistic, UnknownStatistic
+from .errors import RankTooLarge, RepeatedStatistic, UnknownMap, UnknownStatistic
 from .fillings import PatternKind, count_avoiders
 
 MAX_ENUM_RANK = 8
@@ -41,8 +41,8 @@ MAX_ENUM_RANK = 8
 # rows per streamed block; a block holds max(1, BLOCK_ROWS >> n) whole
 # magnitude permutations
 BLOCK_ROWS = 2 ** 14
-# rows per block of the involution suites, which hold two images and two arc
-# tables per block (and the scan's (P, 2n) masks, or the (n+1)^3 growth-
+# rows per block of the involution suites, which hold an arc table and its two
+# images per block (and the scan's (P, 2n) masks, or the (n+1)^3 growth-
 # diagram labels per row): measured on the rank-5 pair suite, 2^14-row
 # blocks raised peak RSS from 29.4 MB (one object at a time) to 32.3 MB,
 # while 2^10 rows kept it at 30.3 MB and ran fastest of 2^8-2^10; with the
@@ -388,24 +388,26 @@ def _map_failures(values: np.ndarray, which: str) -> list[dict]:
     # looked up per call, so that patched or wrapped maps apply
     apply = _kernels.pair_involution_batch if which == "pair" else _kernels.theta_batch
     n = values.shape[1]
-    image = apply(values)
+    arcs = _kernels.upper_arcs_batch(values)
+    image = apply(arcs)
     back = apply(image)
-    arcs, image_arcs = _kernels.upper_arcs_batch(values), _kernels.upper_arcs_batch(image)
-    kept, image_kept = _kernels.pair_stats_batch(arcs), _kernels.pair_stats_batch(image_arcs)
+    kept, image_kept = _kernels.pair_stats_batch(arcs), _kernels.pair_stats_batch(image)
     if which == "pair":
         before, after = kept, image_kept
     else:
-        before, after = _kernels.chain_stats_batch(arcs), _kernels.chain_stats_batch(image_arcs)
-    degrees, image_degrees = _degree_codes(arcs), _degree_codes(image_arcs)
+        before, after = _kernels.chain_stats_batch(arcs), _kernels.chain_stats_batch(image)
+    degrees, image_degrees = _degree_codes(arcs), _degree_codes(image)
     failed = np.stack([
         (after[:, 0] != before[:, 1]) | (after[:, 1] != before[:, 0]),
         image_kept[:, 2] != kept[:, 2],
         image_kept[:, 3] != kept[:, 3],
         degrees != image_degrees,
-        (back != values).any(axis=1),
+        (back != arcs).any(axis=(1, 2)),
     ], axis=1)
+    rows = np.flatnonzero(failed.any(axis=1))
+    images, twice = _kernels.one_line_batch(image[rows]), _kernels.one_line_batch(back[rows])
     failures = []
-    for row in np.flatnonzero(failed.any(axis=1)).tolist():
+    for i, row in enumerate(rows.tolist()):
         k, ik = kept[row].tolist(), image_kept[row].tolist()
         fields = (
             ("statistic_swap", {"before": before[row, :2].tolist(),
@@ -414,7 +416,7 @@ def _map_failures(values: np.ndarray, which: str) -> list[dict]:
             ("neg_preservation", {"before": k[3], "after": ik[3]}),
             ("degree_preservation", {"before": _degree_class(int(degrees[row]), n)[0],
                                      "after": _degree_class(int(image_degrees[row]), n)[0]}),
-            ("involution", {"image": _one_line(image[row]), "twice": _one_line(back[row])}),
+            ("involution", {"image": _one_line(images[i]), "twice": _one_line(twice[i])}),
         )
         perm = _one_line(values[row])
         failures.extend({"permutation": perm, "failure": kind, **rest}
@@ -428,7 +430,9 @@ def verify_involution_properties(
     """Apply the chosen map to every permutation of every rank up to
     n_max and confirm swap, preservation and involutivity.  Failures are
     reported; a map that loses its own bookkeeping raises (Desynchronized,
-    InconsistentGrowth).  Both maps run on blocks of one-line arrays."""
+    InconsistentGrowth); any map but "pair" or "chain" raises UnknownMap."""
+    if which not in ("pair", "chain"):
+        raise UnknownMap(f"unknown map {which!r}; pick pair or chain")
     _check_rank(n_max)
     bad = []
     count = 0

@@ -40,6 +40,10 @@ class UnknownStatistic(CrossNestError, ValueError):
     """A distribution schema names a statistic the package does not know."""
 
 
+class UnknownMap(CrossNestError, ValueError):
+    """The involution suite is asked for a map other than pair and chain."""
+
+
 class RepeatedStatistic(CrossNestError, ValueError):
     """A distribution schema names a statistic more than once."""
 

@@ -16,8 +16,8 @@ weak exceedances and negative entries.  Mirroring twice gives the
 identity, so the map is an involution by construction.
 
 This scalar map serves `crossnest involute` and is the reference for
-`_kernels.pair_involution_batch`, the same scan on blocks of one-line
-arrays that the exhaustive property suite runs.
+`_kernels.pair_involution_batch`, the same scan on blocks of arc tables
+that the exhaustive property suite runs.
 """
 
 from __future__ import annotations

@@ -285,7 +285,7 @@ class TestVerify:
 
     def test_involutions_failure_report_bytes(self, capsys, monkeypatch):
         # an identity "pair map" fails the swap wherever cro != nes
-        monkeypatch.setattr(_kernels, "pair_involution_batch", lambda values: values)
+        monkeypatch.setattr(_kernels, "pair_involution_batch", lambda arcs: arcs)
         code, out, _ = run_cli(capsys, "verify", "involutions", "--n", "2")
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == INVOLUTIONS_2_FAILURE_SHA256

@@ -64,6 +64,12 @@ class TestParsing:
         with pytest.raises(ZeroEntry):
             parse_permutation("1,0,3")
 
+    def test_bool_entry(self):
+        # bool is an int subclass, and True has magnitude 1
+        for values in ((True,), (2, False), (-2, True)):
+            with pytest.raises(MalformedToken, match="is not an integer"):
+                SignedPermutation(values)
+
     def test_round_trip_text(self):
         assert str(parse_permutation(EX1)) == EX1
 

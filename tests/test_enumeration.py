@@ -32,7 +32,7 @@ from crossnest import (
 )
 from crossnest import _kernels, enumeration
 from crossnest.enumeration import BLOCK_ROWS, report_to_json, signed_values_batch
-from crossnest.errors import RankTooLarge, RepeatedStatistic, UnknownStatistic
+from crossnest.errors import RankTooLarge, RepeatedStatistic, UnknownMap, UnknownStatistic
 
 
 def documented_order(n):
@@ -373,6 +373,26 @@ class TestInvolutionSuite:
         assert report.passed and not report.counterexamples
         assert report.info["permutations_checked"] == 50362
 
+    def test_pair_suite_builds_one_arc_table_per_block(self, monkeypatch):
+        # rank 5 streams 8 blocks: one for each rank up to 4, four for rank 5
+        calls = []
+        arcs = _kernels.upper_arcs_batch
+
+        def counted(values):
+            calls.append(len(values))
+            return arcs(values)
+
+        monkeypatch.setattr(_kernels, "upper_arcs_batch", counted)
+        assert verify_involution_properties(5, "pair").passed
+        assert len(calls) == 8 and sum(calls) == 4282
+
+    def test_unknown_map_rejected(self, monkeypatch):
+        # the map is rejected before any block is enumerated
+        monkeypatch.setattr(enumeration, "_signed_value_blocks", None)
+        for which in ("pairs", "theta", ""):
+            with pytest.raises(UnknownMap, match="unknown map"):
+                verify_involution_properties(3, which)
+
     @pytest.mark.parametrize("which", ["pair", "chain"])
     def test_pair_failures_match_object_level_records(self, monkeypatch, which):
         def rotate_and_negate(values):
@@ -381,6 +401,9 @@ class TestInvolutionSuite:
             image[:, 0] *= -1
             return image
 
+        def rotate_arcs(arcs):
+            return _kernels.upper_arcs_batch(rotate_and_negate(_kernels.one_line_batch(arcs)))
+
         def apply(p):
             return SignedPermutation(tuple(rotate_and_negate(np.array([p.values]))[0].tolist()))
 
@@ -388,10 +411,10 @@ class TestInvolutionSuite:
             return cro(p), nes(p)
 
         if which == "pair":
-            monkeypatch.setattr(_kernels, "pair_involution_batch", rotate_and_negate)
+            monkeypatch.setattr(_kernels, "pair_involution_batch", rotate_arcs)
             swapped = pair_counts
         else:
-            monkeypatch.setattr(_kernels, "theta_batch", rotate_and_negate)
+            monkeypatch.setattr(_kernels, "theta_batch", rotate_arcs)
             swapped = max_chain_sizes
         report = verify_involution_properties(4, which)
         expected = [record for n in range(1, 5) for p in enumerate_bn(n)

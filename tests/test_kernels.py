@@ -84,50 +84,63 @@ def test_chain_stats_match_patience_sorting(n):
     assert got.tolist() == [list(r) for r in ref]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_one_line_batch_inverts_upper_arcs_batch(n):
+    for values in _signed_value_blocks(n):
+        got = K.one_line_batch(K.upper_arcs_batch(values))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, values)
+
+
+def images(kernel, n):
+    """One-line arrays of the kernel's images of all rank-n rows; each
+    image must be the int8 table of its one-line array."""
+    got = kernel(K.upper_arcs_batch(signed_values_batch(n)))
+    assert got.dtype == np.int8
+    values = K.one_line_batch(got)
+    assert np.array_equal(K.upper_arcs_batch(values), got)
+    return values
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_pair_involution_batch_matches_scalar_map(n):
-    got = K.pair_involution_batch(signed_values_batch(n))
-    assert got.dtype == np.int64
-    assert got.tolist() == [list(crossing_nesting_involution(p).values)
-                            for p in enumerate_bn(n)]
+    assert images(K.pair_involution_batch, n).tolist() == [
+        list(crossing_nesting_involution(p).values) for p in enumerate_bn(n)]
 
 
 def test_pair_involution_batch_images_match_pinned_map():
     text = "".join(f"{','.join(map(str, row))}\n"
                    for n in range(1, 6)
-                   for row in K.pair_involution_batch(signed_values_batch(n)).tolist())
+                   for row in images(K.pair_involution_batch, n).tolist())
     assert text.count("\n") == 4282
     assert hashlib.sha256(text.encode()).hexdigest() == PAIR_IMAGES_SHA256
 
 
-def broken_arcs(*arcs):
+def table(*arcs):
     """A one-row int8 arc table from (start, end) vertex pairs, unchecked."""
-    return lambda values: np.array([arcs], dtype=np.int8)
+    return np.array([arcs], dtype=np.int8)
 
 
-def test_pair_involution_batch_partner_not_open(monkeypatch):
+def test_pair_involution_batch_partner_not_open():
     # a loop at a negative vertex closes before it opens
-    monkeypatch.setattr(K, "upper_arcs_batch", broken_arcs((-1, -1)))
     with pytest.raises(Desynchronized, match="closer -1: partner -1 is not open"):
-        K.pair_involution_batch(np.array([[1]]))
+        K.pair_involution_batch(table((-1, -1)))
 
 
-def test_pair_involution_batch_image_not_a_permutation(monkeypatch):
+def test_pair_involution_batch_image_not_a_permutation():
     # two arcs end at 1, where the scan closes only one image arc: the
-    # image's arc from -1 never closes, so it has no value at 1
-    monkeypatch.setattr(K, "upper_arcs_batch", broken_arcs((-2, 1), (-1, 1)))
-    with pytest.raises(Desynchronized, match=r"row \[1, 2\]: .* is not a signed permutation"):
-        K.pair_involution_batch(np.array([[1, 2]]))
+    # image's arc from -1 never closes, so it ends at 0 and s(1) reads 0
+    with pytest.raises(Desynchronized,
+                       match=r"row \[-1, -1\]: image \[0, -1\] is not a signed permutation"):
+        K.pair_involution_batch(table((-2, 1), (-1, 1)))
 
 
 def test_int8_tables_reject_larger_ranks():
     # cro and nes wrap in int8 past rank 16, arc vertices past rank 127
     with pytest.raises(RankTooLarge, match="rank 17"):
         K.pair_stats_batch(K.upper_arcs_batch(np.arange(1, 18)[None]))
-    identity = np.arange(1, 129)[None]
-    for kernel in (K.upper_arcs_batch, K.pair_involution_batch, K.theta_batch):
-        with pytest.raises(RankTooLarge, match="rank 128"):
-            kernel(identity)
+    with pytest.raises(RankTooLarge, match="rank 128"):
+        K.upper_arcs_batch(np.arange(1, 129)[None])
 
 
 def test_arc_tables_hold_rank_127():
@@ -137,15 +150,14 @@ def test_arc_tables_hold_rank_127():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_theta_batch_matches_scalar_map(n):
-    got = K.theta_batch(signed_values_batch(n))
-    assert got.dtype == np.int64
-    assert got.tolist() == [list(max_chain_involution(p).values) for p in enumerate_bn(n)]
+    assert images(K.theta_batch, n).tolist() == [
+        list(max_chain_involution(p).values) for p in enumerate_bn(n)]
 
 
 def test_theta_batch_images_match_pinned_map():
     text = "".join(f"{','.join(map(str, row))}\n"
                    for n in range(1, 5)
-                   for row in K.theta_batch(signed_values_batch(n)).tolist())
+                   for row in images(K.theta_batch, n).tolist())
     assert text.count("\n") == 442
     assert hashlib.sha256(text.encode()).hexdigest() == THETA_IMAGES_SHA256
 
@@ -165,4 +177,5 @@ def test_theta_batch_inconsistent_border(monkeypatch, border, message):
     conjugate = K._conjugate
     monkeypatch.setattr(K, "_conjugate", lambda labels: border(conjugate(labels)))
     with pytest.raises(InconsistentGrowth, match=message):
-        K.theta_batch(np.array([[1, 2], [-2, 1]]))
+        # the tables of 1,2 and -2,1
+        K.theta_batch(np.array([[[1, 1], [2, 2]], [[-2, -1], [-1, 2]]], dtype=np.int8))
