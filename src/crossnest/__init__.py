@@ -43,6 +43,7 @@ from .errors import CrossNestError
 from .fillings import (
     PatternKind,
     YoungFilling,
+    border_walks,
     count_avoiders,
     growth_diagram,
     growth_involution,

@@ -34,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .core import DegreeSequence, SignedPermutation
 from .errors import RankTooLarge, RepeatedStatistic, UnknownMap, UnknownStatistic
-from .fillings import PatternKind, count_avoiders
+from .fillings import border_walks
 
 MAX_ENUM_RANK = 8
 
@@ -56,10 +56,14 @@ PAIR_STATS = ("cro", "nes", "wex", "neg")      # pair_stats_batch columns
 CHAIN_STATS = ("cro_star", "nes_star")         # chain_stats_batch columns
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_rank(n: int) -> None:
-    if not 1 <= n <= MAX_ENUM_RANK:
+    if not _is_int(n) or not 1 <= n <= MAX_ENUM_RANK:
         raise RankTooLarge(
-            f"rank {n} outside the enumeration guard 1..{MAX_ENUM_RANK}"
+            f"rank {n!r} outside the enumeration guard 1..{MAX_ENUM_RANK}"
         )
 
 
@@ -332,18 +336,20 @@ def verify_avoider_symmetry(max_rows: int = 4, max_cols: int = 4,
     """Identity- and anti-identity-avoider counts agree on every desk
     shape, over all 0/1 row and column sum prescriptions.
 
-    Both counts come from the same border walk, and conjugating its
-    labels swaps the two caps, so their agreement is close to a
-    tautology.  The evidence for Lemma 4.1 is that the walk count equals
-    a row-by-row backtracking search on every desk case up to 4x4, which
-    the tests check.
+    Each (shape, sums) case is walked once: border_walks counts its
+    fillings by both pattern sizes, and every k reads both counts from
+    that table.  Conjugating the walk's labels swaps the two sizes, so
+    their agreement is close to a tautology.  The evidence for Lemma 4.1
+    is that the walk count equals a row-by-row backtracking search on
+    every desk case up to 4x4, which the tests check.
     """
-    if min(max_rows, max_cols) < 1:
+    if not (_is_int(max_rows) and _is_int(max_cols)) or min(max_rows, max_cols) < 1:
         raise RankTooLarge(
-            f"desk shape bounds {max_rows}x{max_cols} select no shape; both must be >= 1"
+            f"desk shape bounds {max_rows!r}x{max_cols!r} select no shape; "
+            "both must be integers >= 1"
         )
-    if not ks or min(ks) < 1:
-        raise RankTooLarge(f"pattern sizes {list(ks)} must be nonempty and each >= 1")
+    if not ks or not all(map(_is_int, ks)) or min(ks) < 1:
+        raise RankTooLarge(f"pattern sizes {list(ks)} must be nonempty integers, each >= 1")
     bad = []
     checked = 0
     for shape in _desk_shapes(max_rows, max_cols):
@@ -355,9 +361,10 @@ def verify_avoider_symmetry(max_rows: int = 4, max_cols: int = 4,
                 col_sums = tuple((cmask >> i) & 1 for i in range(cols))
                 if sum(row_sums) != sum(col_sums):
                     continue
+                table = border_walks(shape, row_sums, col_sums)
                 for k in ks:
-                    ident = count_avoiders(shape, row_sums, col_sums, k, PatternKind.IDENTITY)
-                    anti = count_avoiders(shape, row_sums, col_sums, k, PatternKind.ANTI_IDENTITY)
+                    anti = sum(count for (parts, _), count in table.items() if parts < k)
+                    ident = sum(count for (_, first), count in table.items() if first < k)
                     checked += 1
                     if ident != anti:
                         bad.append({

@@ -44,6 +44,10 @@ class UnknownMap(CrossNestError, ValueError):
     """The involution suite is asked for a map other than pair and chain."""
 
 
+class UnknownPatternKind(CrossNestError, ValueError):
+    """An avoider count is asked for a pattern kind that is not a PatternKind."""
+
+
 class RepeatedStatistic(CrossNestError, ValueError):
     """A distribution schema names a statistic more than once."""
 

@@ -30,9 +30,10 @@ labels.  On fillings whose row and column sums are each 0 or 1, the
 labels form a walk in Young's lattice from () to (): a step along a
 column of sum 1 adds a box, a step along a row of sum 1 removes one,
 and a step along an empty row or column stays put.  The walk determines
-the filling, so counting the walks whose first parts (identity) or part
-counts (anti-identity) stay below k counts the fillings that avoid a
-pattern of size k.
+the filling, so one walk that carries each label with its running most
+parts (anti-identity) and largest first part (identity) counts the
+fillings by both pattern sizes at once; the avoiders of a size-k
+pattern are the fillings whose size of that kind stays below k.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .errors import (
     MalformedToken,
     MissingDiagramLists,
     RowColumnSumViolation,
+    UnknownPatternKind,
 )
 
 Cell = tuple[int, int]        # (row, column), 1-indexed, row 1 on top
@@ -308,31 +310,31 @@ def _int_fields(line: str) -> tuple[int, ...]:
 
 # --- exact pattern-avoidance counting ------------------------------------
 
-def count_avoiders(
+def border_walks(
     shape: Sequence[int],
     row_sums: Sequence[int],
     col_sums: Sequence[int],
-    k: int,
-    kind: PatternKind,
-) -> int:
+) -> dict[tuple[int, int], int]:
     """Number of 0/1 fillings of the shape with the prescribed row and
-    column sums, each 0 or 1, that contain no pattern of size k.
+    column sums, each 0 or 1, by their (longest anti-identity, longest
+    identity) pattern sizes.
 
     A walk along the border from the bottom-left corner to the top-right
     one adds a box at each column of sum 1 and removes a box at each row
     of sum 1.  These walks from () to () correspond one to one to the
     fillings; the labels are the filling's border labels, so by Greene's
-    theorem the largest first part along the walk is its longest identity
-    pattern and the most parts its longest anti-identity.  The count runs
-    over partitions, with the states that reach k dropped.
+    theorem the most parts along the walk is its longest anti-identity
+    pattern and the largest first part its longest identity.  The count
+    runs over (label, most parts, largest first part) states.
     """
-    shape = tuple(int(w) for w in shape)
+    shape, row_sums, col_sums = tuple(shape), tuple(row_sums), tuple(col_sums)
+    entries = shape + row_sums + col_sums
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in entries):
+        raise InfeasibleSums(f"shape entries and sums must be integers, got {entries}")
     if not shape or any(w <= 0 for w in shape) or any(
         a < b for a, b in zip(shape, shape[1:])
     ):
         raise InfeasibleSums(f"bad shape {shape}")
-    row_sums = tuple(int(s) for s in row_sums)
-    col_sums = tuple(int(s) for s in col_sums)
     if len(row_sums) != len(shape):
         raise InfeasibleSums("one row sum per row")
     if len(col_sums) != shape[0]:
@@ -341,28 +343,45 @@ def count_avoiders(
         raise InfeasibleSums("each row and column sum is 0 or 1")
     if sum(row_sums) != sum(col_sums):
         raise InfeasibleSums("row and column totals differ")
-    if k < 1:
-        raise InfeasibleSums("pattern size must be at least 1")
 
-    size = (lambda lam: lam[0]) if kind is PatternKind.IDENTITY else len
-    walks: dict[Partition, int] = {(): 1}
+    walks: dict[tuple[Partition, int, int], int] = {((), 0, 0): 1}
     corners = border_corners(shape)
     for (r, c), (next_r, _) in zip(corners, corners[1:]):
         grow = next_r == r    # a right step over column c+1, else up over row r
         if not (col_sums[c] if grow else row_sums[r - 1]):
             continue
-        stepped: dict[Partition, int] = {}
-        for lam, count in walks.items():
+        stepped: dict[tuple[Partition, int, int], int] = {}
+        for (lam, parts, first), count in walks.items():
             padded = lam + (0,)
             if grow:
                 moves = [_add_box(lam, i) for i in range(len(lam) + 1)
                          if i == 0 or padded[i - 1] > padded[i]]
-                # removing a box never raises either size
-                moves = [mu for mu in moves if size(mu) < k]
+                moves = [(mu, max(parts, len(mu)), max(first, mu[0])) for mu in moves]
             else:
-                moves = [_remove_box(lam, i) for i in range(len(lam))
+                # removing a box never raises either maximum
+                moves = [(_remove_box(lam, i), parts, first) for i in range(len(lam))
                          if padded[i] > padded[i + 1]]
-            for mu in moves:
-                stepped[mu] = stepped.get(mu, 0) + count
+            for state in moves:
+                stepped[state] = stepped.get(state, 0) + count
         walks = stepped
-    return walks.get((), 0)
+    # the totals agree, so every walk left ends at ()
+    return {(parts, first): count for (_, parts, first), count in walks.items()}
+
+
+def count_avoiders(
+    shape: Sequence[int],
+    row_sums: Sequence[int],
+    col_sums: Sequence[int],
+    k: int,
+    kind: PatternKind,
+) -> int:
+    """Number of 0/1 fillings of the shape with the prescribed row and
+    column sums, each 0 or 1, that contain no pattern of size k: the
+    fillings of border_walks whose size of that kind is below k."""
+    if k < 1:
+        raise InfeasibleSums("pattern size must be at least 1")
+    if not isinstance(kind, PatternKind):
+        raise UnknownPatternKind(f"unknown pattern kind {kind!r}; pick a PatternKind")
+    side = 1 if kind is PatternKind.IDENTITY else 0
+    return sum(count for sizes, count in border_walks(shape, row_sums, col_sums).items()
+               if sizes[side] < k)

@@ -172,7 +172,15 @@ class TestVerifierBounds:
         monkeypatch.setattr(enumeration, "_signed_value_blocks", refuse)
         monkeypatch.setattr(enumeration, "signed_values_batch", refuse)
 
-    @pytest.mark.parametrize("n_max", [0, -3, 9])
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        # a bad desk bound or size must fail before any border walk, not
+        # skip its cases or grow shapes without end
+        def refuse(*case):
+            raise AssertionError(f"walked {case}")
+        monkeypatch.setattr(enumeration, "border_walks", refuse)
+
+    @pytest.mark.parametrize("n_max", [0, -3, 9, True, 2.5])
     @pytest.mark.parametrize("verify", [
         verify_pair_symmetry,
         verify_chain_symmetry,
@@ -184,17 +192,17 @@ class TestVerifierBounds:
         with pytest.raises(RankTooLarge):
             verify(n_max)
 
-    @pytest.mark.parametrize("bounds", [{"max_rows": 0}, {"max_cols": 0}, {"max_rows": -1}])
-    def test_empty_desk_range(self, bounds):
+    @pytest.mark.parametrize("bounds", [
+        {"max_rows": 0}, {"max_cols": 0}, {"max_rows": -1},
+        {"max_rows": True}, {"max_cols": True}, {"max_rows": 2.5, "max_cols": 2},
+        {"max_cols": 2.5},
+    ])
+    def test_empty_desk_range(self, no_walk, bounds):
         with pytest.raises(RankTooLarge):
             verify_avoider_symmetry(**bounds)
 
-    @pytest.mark.parametrize("ks", [(), (0,), (2, 0)])
-    def test_pattern_sizes_below_one(self, monkeypatch, ks):
-        # a bad size must fail before any border walk, not skip its cases
-        def refuse(*case):
-            raise AssertionError(f"walked {case}")
-        monkeypatch.setattr(enumeration, "count_avoiders", refuse)
+    @pytest.mark.parametrize("ks", [(), (0,), (2, 0), (2.5,), (True,)])
+    def test_pattern_sizes_below_one(self, no_walk, ks):
         with pytest.raises(RankTooLarge):
             verify_avoider_symmetry(3, 3, ks=ks)
 

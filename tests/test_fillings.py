@@ -21,6 +21,7 @@ from crossnest import (
     SignedPermutation,
     UpperDiagram,
     YoungFilling,
+    border_walks,
     count_avoiders,
     cro_star,
     cro_star_brute,
@@ -40,6 +41,7 @@ from crossnest import (
     xi_inverse,
     young_shape,
 )
+from crossnest import enumeration, fillings
 from crossnest.enumeration import _desk_shapes
 from crossnest.errors import (
     InconsistentGrowth,
@@ -47,6 +49,7 @@ from crossnest.errors import (
     MalformedToken,
     MissingDiagramLists,
     RowColumnSumViolation,
+    UnknownPatternKind,
 )
 from crossnest.fillings import (
     backward_rule,
@@ -70,6 +73,16 @@ def border_sizes(f):
 def pattern_sizes(f):
     """The same pair from the independent longest-chain DP."""
     return max_pattern_size(f.ones, f.shape, J), max_pattern_size(f.ones, f.shape, I)
+
+
+def desk_cases(max_rows, max_cols):
+    """Every (shape, row sums, column sums) case of the desk shapes whose
+    sums are 0 or 1 and agree in total."""
+    for shape in _desk_shapes(max_rows, max_cols):
+        for row_sums in product((0, 1), repeat=len(shape)):
+            for col_sums in product((0, 1), repeat=shape[0]):
+                if sum(row_sums) == sum(col_sums):
+                    yield shape, row_sums, col_sums
 
 
 class TestYoungShape:
@@ -347,18 +360,86 @@ class TestCountAvoiders:
         assert count_avoiders((8,) * 8, (1,) * 8, (1,) * 8, 3, kind) == 1430
         assert count_avoiders((12,) * 12, (1,) * 12, (1,) * 12, 4, kind) == 24_792_705
 
+    def test_kind_must_be_a_pattern_kind(self):
+        # a plain string used to take the anti-identity branch
+        with pytest.raises(UnknownPatternKind):
+            count_avoiders((2, 2), (1, 1), (1, 1), 2, "identity")
+        with pytest.raises(ValueError):
+            count_avoiders((2, 2), (1, 1), (1, 1), 2, None)
+
+    @pytest.mark.parametrize("case", [
+        ((2.7, 2), (1, 1), (1, 1)),     # used to walk the shape (2, 2)
+        ((2, 2), (1.0, 0), (1, 0)),
+        ((2, 2), (1, 0), (True, 0)),
+    ])
+    def test_non_integer_entries(self, case):
+        with pytest.raises(InfeasibleSums):
+            border_walks(*case)
+        with pytest.raises(InfeasibleSums):
+            count_avoiders(*case, 2, I)
+
     def test_walk_matches_backtracking_on_desk_shapes(self):
         cases = 0
-        for shape in _desk_shapes(4, 4):
-            for row_sums in product((0, 1), repeat=len(shape)):
-                for col_sums in product((0, 1), repeat=shape[0]):
-                    if sum(row_sums) != sum(col_sums):
-                        continue
-                    for k, kind in product(range(1, 5), (I, J)):
-                        args = (shape, row_sums, col_sums, k, kind)
-                        assert count_avoiders(*args) == backtracking_avoiders(*args), args
-                        cases += 1
+        for shape, row_sums, col_sums in desk_cases(4, 4):
+            for k, kind in product(range(1, 5), (I, J)):
+                args = (shape, row_sums, col_sums, k, kind)
+                assert count_avoiders(*args) == backtracking_avoiders(*args), args
+                cases += 1
         assert cases == 19_504
+
+    def test_joint_table_on_desk_shapes(self):
+        # conjugating the labels swaps the two sizes; no 4x4 filling has a
+        # pattern of size 5, so the total counts every filling
+        for shape, row_sums, col_sums in desk_cases(4, 4):
+            table = border_walks(shape, row_sums, col_sums)
+            assert table == {(b, a): count for (a, b), count in table.items()}
+            assert sum(table.values()) == backtracking_avoiders(
+                shape, row_sums, col_sums, 5, I
+            )
+
+    def test_table_keys_are_parts_then_first_part(self, monkeypatch):
+        # every real table is symmetric (conjugate the labels), so only a
+        # step rule that grows the first row alone shows the key order:
+        # both 2x2 fillings then walk () -> (1) -> (2) -> (1) -> ()
+        def first_row_only(lam, row):
+            return (lam[0] + 1, *lam[1:]) if lam else (1,)
+
+        monkeypatch.setattr(fillings, "_add_box", first_row_only)
+        assert border_walks((2, 2), (1, 1), (1, 1)) == {(1, 2): 2}
+
+    def test_marginals_read_parts_then_first_part(self, monkeypatch):
+        # the same for the two counts that read the table
+        def lopsided(*case):
+            return {(1, 3): 1}
+
+        monkeypatch.setattr(fillings, "border_walks", lopsided)
+        monkeypatch.setattr(enumeration, "border_walks", lopsided)
+        assert count_avoiders((1,), (1,), (1,), 2, J) == 1
+        assert count_avoiders((1,), (1,), (1,), 2, I) == 0
+        report = enumeration.verify_avoider_symmetry(1, 1, ks=(2,))
+        assert report.counterexamples == [
+            {"shape": [1], "row_sums": list(sums), "col_sums": list(sums), "k": 2,
+             "identity_avoiders": 0, "anti_identity_avoiders": 1}
+            for sums in ((0,), (1,))
+        ]
+
+    def test_one_walk_per_desk_case(self, monkeypatch):
+        calls = []
+
+        def counted(*case):
+            calls.append(case)
+            return border_walks(*case)
+
+        def refuse(*args):
+            raise AssertionError(f"count_avoiders{args}")
+
+        monkeypatch.setattr(enumeration, "border_walks", counted)
+        monkeypatch.setattr(enumeration, "count_avoiders", refuse, raising=False)
+        monkeypatch.setattr(fillings, "count_avoiders", refuse)
+        report = enumeration.verify_avoider_symmetry(4, 4)
+        assert report.passed
+        assert report.info["cases_checked"] == 4_876
+        assert len(calls) == len(set(calls)) == 2_438
 
     def test_staircase_sweep_small(self):
         # identity- and anti-identity-avoiders agree on every shape
