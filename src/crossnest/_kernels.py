@@ -11,11 +11,12 @@ a few operations on 1-D columns of length P; the chain statistics are
 DPs over the same column pairs (and, for crossings, the column triples
 between a chain's first arc and its last).  The two involutions map arc
 tables to arc tables that keep every start, and so the start order.
-The pair involution is the rank-mirror scan of `involution`: one walk
-over the 2n vertex columns, with its open lists as (P, 2n) masks.  The
-chain involution is the growth-diagram map of `fillings`: Fomin's local
-rules, one cell of the n x n grid at a time, on the labels of that
-cell's corners for every row.
+Both read the arcs in closing order from `_closing_order`, with which
+arcs have joined by each closer.  The pair involution is the rank-mirror
+scan of `involution`, one closer per row at each of n steps.  The chain
+involution is the growth-diagram map of `fillings`: Fomin's local rules,
+one cell of the n x n grid at a time, on the labels of that cell's
+corners for every row.
 
 The patience sorting and the subset brute-force oracles in `statistics`,
 and the scalar `involution.crossing_nesting_involution` and
@@ -28,17 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Desynchronized, InconsistentGrowth, RankTooLarge
-
-
-def _column(vertex: np.ndarray, n: int) -> np.ndarray:
-    """Column of a vertex on the line -n, ..., -1, 1, ..., n: column n - i
-    for -i, n + i - 1 for i."""
-    return vertex + n - (vertex > 0)
-
-
-def _line(n: int) -> np.ndarray:
-    """The vertex in each of the 2n columns: the inverse of `_column`."""
-    return np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
 
 
 def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
@@ -56,7 +46,8 @@ def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
     idx = np.arange(1, n + 1, dtype=np.int8)
     keep = values >= idx
     vertices = np.concatenate([-idx, idx])
-    cols = _column(vertices.astype(np.int64), n)   # up to 2n - 1, past int8
+    # column n - i for -i and n + i - 1 for i, up to 2n - 1, past int8
+    cols = vertices.astype(np.int64) + n - (vertices > 0)
     opens = np.empty((p, 2 * n), dtype=bool)
     opens[:, cols] = np.concatenate([~keep, keep], axis=1)
     line = np.empty((p, 2 * n, 2), dtype=np.int8)   # the arc opening each column
@@ -144,52 +135,54 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
     return np.stack([cro_star, fall.max(axis=0)], axis=1)
 
 
-# --- the pair involution: the rank-mirror scan ----------------------------
+# --- the involutions: arcs in closing order ------------------------------
+
+def _closing_order(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs of each row of a (P, n, 2) table in the order they close.
+
+    order[:, t] is the index of the arc with the t-th smallest end, and
+    ends[:, t] is that end.  joined[:, t, a] holds when arc a has joined
+    the open arcs by then: it starts left of that end, or on it when the
+    end is positive, since a positive vertex joins before it closes and a
+    negative one after.  Both maps decide when an arc joins here only.
+    """
+    order = np.argsort(arcs[:, :, 1], axis=1, kind="stable")
+    ends = np.take_along_axis(arcs[:, :, 1], order, axis=1)
+    starts, closer = arcs[:, None, :, 0], ends[:, :, None]
+    joined = (starts < closer) | (starts == closer) & (closer > 0)
+    return order, ends, joined
+
 
 def pair_involution_batch(arcs: np.ndarray) -> np.ndarray:
     """The image under the pair map of a (P, n, 2) arc table, whose scalar
     reference is `involution.crossing_nesting_involution`.
 
-    The same rank-mirror scan, with the two open lists kept as (P, 2n)
-    masks over the vertex columns; oldest first is left to right.  At a
-    closer, r counts the open source arcs that start before the partner,
-    and the image closes its (k-1-r)-th oldest of k open arcs.  A row
-    whose partner is not open, or whose new ends are not 1..n in magnitude
-    (an arc that never closes ends at 0), raises Desynchronized.
+    The same rank-mirror scan, one closer per row at each of n steps, in
+    closing order.  The image's open list is a (P, n) mask over the arcs,
+    oldest first: the joined arcs that still end at 0.  Closing arc b, the
+    source's open arcs older than b are those a < b that end beyond it;
+    with r of them, the image closes the (k-r)-th oldest of its k open
+    arcs.  A row whose closing arc has not joined at its own end, or whose
+    new ends are not 1..n in magnitude (an arc that never closes ends at
+    0), raises Desynchronized.
     """
     p, n = arcs.shape[:2]
-    starts, ends = np.moveaxis(_column(arcs.astype(np.int64), n), 2, 0)
-    rows = np.arange(p)[:, None]
-    opens = np.zeros((p, 2 * n), dtype=bool)
-    opens[rows, starts] = True
-    partner = np.full((p, 2 * n), -1, dtype=np.int64)
-    partner[rows, ends] = starts
-    vertex = _line(n)
-    cols = np.arange(2 * n)
-    source = np.zeros_like(opens)
-    image = np.zeros_like(opens)
-    image_end = np.zeros((p, 2 * n), dtype=np.int64)   # by start column
-    for c in range(2 * n):
-        if c >= n:      # a positive vertex joins before it closes
-            source[:, c] = image[:, c] = opens[:, c]
-        closing = np.flatnonzero(partner[:, c] >= 0)
-        start = partner[closing, c]
-        lost = ~source[closing, start]
+    order, ends, joined = _closing_order(arcs)
+    rows, idx = np.arange(p), np.arange(n)
+    out = arcs.copy()
+    out[:, :, 1] = 0                  # an image arc ends at 0 until it closes
+    for t in range(n):
+        b, end = order[:, t], ends[:, t]
+        lost = ~joined[rows, t, b]
         if lost.any():
-            row = closing[lost.argmax()]
-            raise Desynchronized(f"row {one_line_batch(arcs)[row].tolist()}: closer {vertex[c]}: "
-                                 f"partner {vertex[partner[row, c]]} is not open")
-        r = (source[closing] & (cols < start[:, None])).sum(axis=1)
-        held = image[closing]
+            row = lost.argmax()
+            raise Desynchronized(f"row {one_line_batch(arcs)[row].tolist()}: closer {end[row]}: "
+                                 f"partner {arcs[row, b[row], 0]} is not open")
+        r = ((arcs[:, :, 1] > end[:, None]) & (idx < b[:, None])).sum(axis=1)
+        held = joined[:, t] & (out[:, :, 1] == 0)
         k = held.sum(axis=1)
         mirror = (held & (held.cumsum(axis=1) == (k - r)[:, None])).argmax(axis=1)
-        source[closing, start] = False
-        image[closing, mirror] = False
-        image_end[closing, mirror] = vertex[c]
-        if c < n:       # a negative vertex joins after it closes
-            source[:, c] = image[:, c] = opens[:, c]
-    out = arcs.copy()
-    out[:, :, 1] = np.take_along_axis(image_end, starts, axis=1)
+        out[rows, mirror, 1] = end
     broken = (np.sort(np.abs(out[:, :, 1]), axis=1) != np.arange(1, n + 1)).any(axis=1)
     if broken.any():
         row = broken.argmax()
@@ -250,11 +243,9 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
 
     Each row is encoded as the filling of `fillings.xi`: row r (1 on top)
     stands for the r-th largest closer, column c for arc c of the table,
-    and each arc fills its closer's row in its own column.  Read right to
-    left, the close columns of the (P, 2n) vertex masks give the rows,
-    the column of each row's 1, and each row's `young_shape` width from a
-    cumsum of the open mask that counts the closer only when it is a
-    positive opener.
+    and each arc fills its closer's row in its own column.  Read from the
+    last closer back, `_closing_order` gives the rows, the column of each
+    row's 1, and each row's `young_shape` width: the arcs joined by then.
     The labels of all (n+1)^2 corners of the n x n grid, with n+1 parts
     each, grow by Fomin's forward rules; cells outside a row's shape hold
     no 1, so the labels on and inside the shape are the filling's own.
@@ -266,18 +257,12 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
     permutation raises InconsistentGrowth.
     """
     p, n = arcs.shape[:2]
-    starts, ends = np.moveaxis(_column(arcs.astype(np.int64), n), 2, 0)
-    rows = np.arange(p)[:, None]
-    opens = np.zeros((p, 2 * n), dtype=bool)
-    opens[rows, starts] = True
-    arc_at = np.zeros((p, 2 * n), dtype=np.int64)   # 1 + the index of the arc ending there
-    arc_at[rows, ends] = np.arange(1, n + 1)
-    vertex = _line(n)
-    closes = arc_at[:, ::-1] > 0                     # rows 1, ..., n, left to right
-    closers = np.broadcast_to(vertex[::-1], (p, 2 * n))[closes].reshape(p, n)
-    # width[:, r] is the width of row r + 1, and column[:, r] the column of its 1
-    width = (opens.cumsum(axis=1) - opens * (vertex < 0))[:, ::-1][closes].reshape(p, n)
-    column = arc_at[:, ::-1][closes].reshape(p, n)
+    order, ends, joined = _closing_order(arcs)
+    # row r + 1 closes at closers[:, r], its width is width[:, r], and its
+    # 1 sits in column[:, r]
+    closers = ends[:, ::-1]
+    width = joined.sum(axis=2)[:, ::-1]
+    column = order[:, ::-1] + 1
     labels = np.zeros((n + 1, n + 1, n + 1, p), dtype=np.int8)
     for r in range(1, n + 1):
         for c in range(1, n + 1):
@@ -311,5 +296,5 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
                                  "the rebuilt filling is not a signed permutation")
     # row r + 1 closes the arc of its 1's column at closers[:, r]
     out = arcs.copy()
-    out[rows, ones.argmax(axis=2), 1] = closers
+    out[np.arange(p)[:, None], ones.argmax(axis=2), 1] = closers
     return out

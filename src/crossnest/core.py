@@ -102,7 +102,7 @@ def vertices(n: int) -> tuple[int, ...]:
 
 def sigma_at(p: SignedPermutation, i: int) -> int:
     """Value of the extended permutation at any vertex of [-n, n]."""
-    if i == 0 or abs(i) > p.n:
+    if not isinstance(i, int) or isinstance(i, bool) or i == 0 or abs(i) > p.n:
         raise IndexOutOfRange(f"vertex {i} not in [-{p.n}, {p.n}] \\ {{0}}")
     if i > 0:
         return p.values[i - 1]

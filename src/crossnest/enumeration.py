@@ -42,8 +42,8 @@ MAX_ENUM_RANK = 8
 # magnitude permutations
 BLOCK_ROWS = 2 ** 14
 # rows per block of the involution suites, which hold an arc table and its two
-# images per block (and the scan's (P, 2n) masks, or the (n+1)^3 growth-
-# diagram labels per row): measured on the rank-5 pair suite, 2^14-row
+# images per block (and the (P, n, n) joined masks of the closing order, or
+# the (n+1)^3 growth-diagram labels per row): measured on the rank-5 pair suite, 2^14-row
 # blocks raised peak RSS from 29.4 MB (one object at a time) to 32.3 MB,
 # while 2^10 rows kept it at 30.3 MB and ran fastest of 2^8-2^10; with the
 # theta kernel, the rank-6 theta suite took 2.0, 1.2, 1.0, 0.8, 0.7 and

@@ -378,8 +378,8 @@ def count_avoiders(
     """Number of 0/1 fillings of the shape with the prescribed row and
     column sums, each 0 or 1, that contain no pattern of size k: the
     fillings of border_walks whose size of that kind is below k."""
-    if k < 1:
-        raise InfeasibleSums("pattern size must be at least 1")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise InfeasibleSums(f"pattern size must be an integer of at least 1, got {k!r}")
     if not isinstance(kind, PatternKind):
         raise UnknownPatternKind(f"unknown pattern kind {kind!r}; pick a PatternKind")
     side = 1 if kind is PatternKind.IDENTITY else 0

@@ -17,7 +17,9 @@ identity, so the map is an involution by construction.
 
 This scalar map serves `crossnest involute` and is the reference for
 `_kernels.pair_involution_batch`, the same scan on blocks of arc tables
-that the exhaustive property suite runs.
+that the exhaustive property suite runs.  The kernel visits only the
+closers, in closing order: the source rank r counts the older arcs that
+end later, and the image's open list is a mask over the arcs.
 """
 
 from __future__ import annotations

@@ -93,6 +93,10 @@ class TestSigmaAt:
     def test_beyond_rank_rejected(self):
         with pytest.raises(IndexOutOfRange):
             sigma_at(identity(3), 4)
+        # a bool used to read vertex 1, and 1.5 raised a raw TypeError
+        for vertex in (True, 1.5):
+            with pytest.raises(IndexOutOfRange):
+                sigma_at(identity(3), vertex)
 
     @given(signed_permutations(max_n=5))
     def test_mirror_coherence(self, p):

@@ -360,6 +360,17 @@ class TestCountAvoiders:
         assert count_avoiders((8,) * 8, (1,) * 8, (1,) * 8, 3, kind) == 1430
         assert count_avoiders((12,) * 12, (1,) * 12, (1,) * 12, 4, kind) == 24_792_705
 
+    @pytest.mark.parametrize("k", [True, 2.5, "2", 0])
+    def test_pattern_size_must_be_a_positive_int(self, monkeypatch, k):
+        # True used to count as k = 1, 2.5 as k = 3, and "2" raised a raw
+        # TypeError from the walk's table
+        def refuse(*case):
+            raise AssertionError(f"border_walks{case}")
+
+        monkeypatch.setattr(fillings, "border_walks", refuse)
+        with pytest.raises(InfeasibleSums, match="pattern size"):
+            count_avoiders((2, 2), (1, 1), (1, 1), k, I)
+
     def test_kind_must_be_a_pattern_kind(self):
         # a plain string used to take the anti-identity branch
         with pytest.raises(UnknownPatternKind):

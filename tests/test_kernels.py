@@ -20,6 +20,7 @@ from crossnest import (
     nes,
     upper_diagram,
     wex,
+    xi,
 )
 from crossnest.enumeration import (
     MAX_ENUM_RANK,
@@ -92,6 +93,21 @@ def test_one_line_batch_inverts_upper_arcs_batch(n):
         assert np.array_equal(got, values)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_closing_order_reads_each_rows_filling(n):
+    # the join rule that both maps share gives xi's filling: read from the
+    # largest closer down, the joined counts are the shape's row widths and
+    # the closing arcs are the columns of the rows' 1s
+    order, ends, joined = K._closing_order(K.upper_arcs_batch(signed_values_batch(n)))
+    width = joined.sum(axis=2)[:, ::-1].tolist()
+    column = (order[:, ::-1] + 1).tolist()
+    for p, e, w, c in zip(enumerate_bn(n), ends.tolist(), width, column):
+        f = xi(upper_diagram(p))     # on young_shape's shape and closers
+        assert w == list(f.shape)
+        assert e == list(f.closers)
+        assert sorted(f.ones) == list(enumerate(c, start=1))
+
+
 def images(kernel, n):
     """One-line arrays of the kernel's images of all rank-n rows; each
     image must be the int8 table of its one-line array."""
@@ -128,10 +144,11 @@ def test_pair_involution_batch_partner_not_open():
 
 
 def test_pair_involution_batch_image_not_a_permutation():
-    # two arcs end at 1, where the scan closes only one image arc: the
-    # image's arc from -1 never closes, so it ends at 0 and s(1) reads 0
+    # two arcs end at 1 and both close there, one after the other: the
+    # image closes its arc from -1 first, then its arc from -2, so both
+    # image arcs end at 1 and s(1) = s(2) = -1
     with pytest.raises(Desynchronized,
-                       match=r"row \[-1, -1\]: image \[0, -1\] is not a signed permutation"):
+                       match=r"row \[-1, -1\]: image \[-1, -1\] is not a signed permutation"):
         K.pair_involution_batch(table((-2, 1), (-1, 1)))
 
 
