@@ -9,11 +9,13 @@ involution suites), so P stays small whatever the rank.  The pair
 statistics loop over the n(n-1)/2 column pairs of the table, each step
 a few operations on 1-D columns of length P; the chain statistics are
 DPs over the same column pairs (and, for crossings, the column triples
-between a chain's first arc and its last).  The two involutions map arc
-tables to arc tables that keep every start, and so the start order.
-Both read the arcs in closing order from `_closing_order`, with which
-arcs have joined by each closer.  The pair involution is the rank-mirror
-scan of `involution`, one closer per row at each of n steps.  The chain
+between a chain's first arc and its last).  Nestings read the ends
+alone, as starts rise along the table; crossings also need the type-B
+join rule, `_joined`.  The two involutions map arc tables to arc tables
+that keep every start, and so the start order.  Both read the arcs in
+closing order from `_closing_order`, with each closer's row width, the
+arcs joined by then.  The pair involution is the rank-mirror scan of
+`involution`, one closer per row at each of n steps.  The chain
 involution is the growth-diagram map of `fillings`: Fomin's local rules,
 one cell of the n x n grid at a time, on the labels of that cell's
 corners for every row.
@@ -65,14 +67,20 @@ def one_line_batch(arcs: np.ndarray) -> np.ndarray:
     np.put_along_axis(values, np.abs(starts) - 1, np.sign(starts) * ends, axis=1)
     return values
 
+
+def _joined(starts: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+    """Whether arcs starting at `starts` have joined the open arcs when
+    `vertex` closes: a positive vertex joins before it closes, a negative
+    one after.  The kernels' one copy of the type-B join rule."""
+    return (starts < vertex) | (starts == vertex) & (vertex > 0)
+
 # --- pair statistics: cro, nes, wex, neg ---------------------------------
 
 def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
     """(P, 4) int64 table of (cro, nes, wex, neg), one column pair at a time.
 
-    For arcs a < b in start order, with b starting inside a: they cross
-    when b ends beyond a and nest when it ends inside a.  When b starts
-    where a ends, they cross exactly when that shared vertex is positive.
+    For arcs a < b in start order, b nests in a exactly when it ends
+    first, and crosses a when it has joined by a's end and ends beyond it.
     cro and nes are counted in int8, which holds the n(n-1)/2 pairs up to
     rank 16; a larger rank raises RankTooLarge.
     """
@@ -87,12 +95,8 @@ def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
     for a in range(n):
         ea = E[a]
         for b in range(a + 1, n):
-            sb, eb = S[b], E[b]
-            inside = sb < ea
-            beyond = eb > ea
-            cro += inside & beyond
-            nes += inside & ~beyond
-            cro += (sb == ea) & (sb > 0)
+            nes += E[b] < ea
+            cro += _joined(S[b], ea) & (E[b] > ea)
     wex = (S > 0).sum(axis=0, dtype=np.int64)
     neg = ((S < 0) & (E > 0)).sum(axis=0, dtype=np.int64)
     return np.stack([cro, nes, wex, neg], axis=1, dtype=np.int64)
@@ -104,10 +108,10 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
     """(P, 2) table of (cro_star, nes_star), by DPs over column pairs.
 
     Crossing: the first arc f of a chain has the smallest end, so every
-    later arc g of it starts inside e_f (or on it, when that vertex is
-    positive) and ends beyond it.  For each f, run[g] is the longest such
-    chain from f that ends at g, or 0 when g cannot follow f; its last
-    step comes from an h between them with a smaller end.
+    later arc g of it has joined by e_f and ends beyond it.  For each f,
+    run[g] is the longest such chain from f that ends at g, or 0 when g
+    cannot follow f; its last step comes from an h between them with a
+    smaller end.
     Nesting: starts rise with the index and a loop can only be innermost,
     so a nesting chain is a falling run of ends; fall[g] is the longest
     one that ends at g.
@@ -124,7 +128,7 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
             best = np.ones(p, dtype=np.int64)
             for h in range(f + 1, g):
                 np.maximum(best, run[h] * (E[h] < eg), out=best)
-            allowed = ((sg < ef) | (sg == ef) & (sg > 0)) & (eg > ef)
+            allowed = _joined(sg, ef) & (eg > ef)
             run[g] = allowed * (best + 1)
             np.maximum(cro_star, run[g], out=cro_star)
     fall = np.ones((n, p), dtype=np.int64)
@@ -140,17 +144,35 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
 def _closing_order(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arcs of each row of a (P, n, 2) table in the order they close.
 
-    order[:, t] is the index of the arc with the t-th smallest end, and
-    ends[:, t] is that end.  joined[:, t, a] holds when arc a has joined
-    the open arcs by then: it starts left of that end, or on it when the
-    end is positive, since a positive vertex joins before it closes and a
-    negative one after.  Both maps decide when an arc joins here only.
+    order[:, t] is the index of the arc with the t-th smallest end, ends[:, t]
+    is that end, and width[:, t] counts the arcs that have joined by then.
+    Starts rise along the table, so those are its first width[:, t] arcs;
+    read from the largest end down, the widths are `young_shape`'s rows.
     """
     order = np.argsort(arcs[:, :, 1], axis=1, kind="stable")
     ends = np.take_along_axis(arcs[:, :, 1], order, axis=1)
-    starts, closer = arcs[:, None, :, 0], ends[:, :, None]
-    joined = (starts < closer) | (starts == closer) & (closer > 0)
-    return order, ends, joined
+    width = sum(_joined(arcs[:, a, None, 0], ends) for a in range(arcs.shape[1]))
+    return order, ends, width
+
+
+def _check_joined(arcs: np.ndarray, error: type[Exception]) -> None:
+    """Raise `error` on the first row with an arc not joined by its own end."""
+    lost = ~_joined(arcs[:, :, 0], arcs[:, :, 1])
+    if lost.any():
+        row, a = np.unravel_index(lost.argmax(), lost.shape)
+        raise error(f"row {one_line_batch(arcs)[row].tolist()}: closer {arcs[row, a, 1]}: "
+                    f"partner {arcs[row, a, 0]} is not open")
+
+
+def _check_image(arcs: np.ndarray, out: np.ndarray, error: type[Exception]) -> None:
+    """Raise `error` on the first row whose image's starts or ends are not
+    1..n in magnitude; an arc that never closes ends at 0."""
+    magnitudes = np.arange(1, arcs.shape[1] + 1)[:, None]
+    broken = (np.sort(np.abs(out), axis=1) != magnitudes).any(axis=(1, 2))
+    if broken.any():
+        row = broken.argmax()
+        raise error(f"row {one_line_batch(arcs)[row].tolist()}: image "
+                    f"{one_line_batch(out)[row].tolist()} is not a signed permutation")
 
 
 def pair_involution_batch(arcs: np.ndarray) -> np.ndarray:
@@ -159,35 +181,27 @@ def pair_involution_batch(arcs: np.ndarray) -> np.ndarray:
 
     The same rank-mirror scan, one closer per row at each of n steps, in
     closing order.  The image's open list is a (P, n) mask over the arcs,
-    oldest first: the joined arcs that still end at 0.  Closing arc b, the
-    source's open arcs older than b are those a < b that end beyond it;
-    with r of them, the image closes the (k-r)-th oldest of its k open
-    arcs.  A row whose closing arc has not joined at its own end, or whose
-    new ends are not 1..n in magnitude (an arc that never closes ends at
-    0), raises Desynchronized.
+    oldest first: the first width arcs of the table that still end at 0.
+    Closing arc b, the source's open arcs older than b are those a < b
+    that end beyond it; with r of them, the image closes the (k-r)-th
+    oldest of its k open arcs.  A row with an arc that has not joined at
+    its own end, or whose image's starts or ends are not 1..n in
+    magnitude, raises Desynchronized.
     """
+    _check_joined(arcs, Desynchronized)
     p, n = arcs.shape[:2]
-    order, ends, joined = _closing_order(arcs)
+    order, ends, width = _closing_order(arcs)
     rows, idx = np.arange(p), np.arange(n)
     out = arcs.copy()
     out[:, :, 1] = 0                  # an image arc ends at 0 until it closes
     for t in range(n):
         b, end = order[:, t], ends[:, t]
-        lost = ~joined[rows, t, b]
-        if lost.any():
-            row = lost.argmax()
-            raise Desynchronized(f"row {one_line_batch(arcs)[row].tolist()}: closer {end[row]}: "
-                                 f"partner {arcs[row, b[row], 0]} is not open")
         r = ((arcs[:, :, 1] > end[:, None]) & (idx < b[:, None])).sum(axis=1)
-        held = joined[:, t] & (out[:, :, 1] == 0)
+        held = (idx < width[:, t, None]) & (out[:, :, 1] == 0)
         k = held.sum(axis=1)
         mirror = (held & (held.cumsum(axis=1) == (k - r)[:, None])).argmax(axis=1)
         out[rows, mirror, 1] = end
-    broken = (np.sort(np.abs(out[:, :, 1]), axis=1) != np.arange(1, n + 1)).any(axis=1)
-    if broken.any():
-        row = broken.argmax()
-        raise Desynchronized(f"row {one_line_batch(arcs)[row].tolist()}: image "
-                             f"{one_line_batch(out)[row].tolist()} is not a signed permutation")
+    _check_image(arcs, out, Desynchronized)
     return out
 
 
@@ -252,17 +266,17 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
     All labels are conjugated; a corner (r, c) keeps its conjugated label
     when c >= width(r+1), which puts it on or beyond the shape's outer
     border, and the backward rules rebuild the others, bottom row first
-    and right to left.  A corner that breaks the backward rules, a box
-    left on the top or left edge, or an image that is not a signed
-    permutation raises InconsistentGrowth.
+    and right to left.  An arc that has not joined at its own end, a
+    corner that breaks the backward rules, a box left on the top or left
+    edge, a rebuilt filling or an image that is not a signed permutation
+    raises InconsistentGrowth.
     """
     p, n = arcs.shape[:2]
-    order, ends, joined = _closing_order(arcs)
+    _check_joined(arcs, InconsistentGrowth)
+    order, ends, width = _closing_order(arcs)
     # row r + 1 closes at closers[:, r], its width is width[:, r], and its
     # 1 sits in column[:, r]
-    closers = ends[:, ::-1]
-    width = joined.sum(axis=2)[:, ::-1]
-    column = order[:, ::-1] + 1
+    closers, width, column = ends[:, ::-1], width[:, ::-1], order[:, ::-1] + 1
     labels = np.zeros((n + 1, n + 1, n + 1, p), dtype=np.int8)
     for r in range(1, n + 1):
         for c in range(1, n + 1):
@@ -297,4 +311,5 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
     # row r + 1 closes the arc of its 1's column at closers[:, r]
     out = arcs.copy()
     out[np.arange(p)[:, None], ones.argmax(axis=2), 1] = closers
+    _check_image(arcs, out, InconsistentGrowth)
     return out

@@ -25,8 +25,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 from typing import Iterator, Literal
 
 import numpy as np
@@ -39,16 +40,13 @@ from .fillings import border_walks
 MAX_ENUM_RANK = 8
 
 # rows per streamed block; a block holds max(1, BLOCK_ROWS >> n) whole
-# magnitude permutations
+# magnitude permutations.  The rank-7 pair sweep took 0.34, 0.13 and 0.11 s
+# at 2^10, 2^12 and 2^14 rows (best of 5, fresh process, 2 cores)
 BLOCK_ROWS = 2 ** 14
-# rows per block of the involution suites, which hold an arc table and its two
-# images per block (and the (P, n, n) joined masks of the closing order, or
-# the (n+1)^3 growth-diagram labels per row): measured on the rank-5 pair suite, 2^14-row
-# blocks raised peak RSS from 29.4 MB (one object at a time) to 32.3 MB,
-# while 2^10 rows kept it at 30.3 MB and ran fastest of 2^8-2^10; with the
-# theta kernel, the rank-6 theta suite took 2.0, 1.2, 1.0, 0.8, 0.7 and
-# 0.6 s at 2^8-2^13 rows and read 30.5-30.7 MB up to 2^9, 31.3 MB at 2^10,
-# then 33.1, 36.6 and 42.2 MB
+# rows per block of the involution suites, whose blocks also hold theta's
+# (n+1)^3 growth-diagram labels per row: at 2^10, 2^12 and 2^14 rows the
+# rank-6 theta suite read 30.9, 35.0 and 50.7 MB and took 0.65, 0.44 and
+# 0.43 s, so the suites keep the smaller blocks
 INVOLUTION_BLOCK_ROWS = 2 ** 10
 
 STAT_NAMES = ("nes", "cro", "wex", "neg", "cro_star", "nes_star")
@@ -104,10 +102,10 @@ def enumerate_bn(n: int) -> Iterator[SignedPermutation]:
 
 
 def bn_size(n: int) -> int:
-    size = 2 ** n
-    for i in range(2, n + 1):
-        size *= i
-    return size
+    """2^n * n!, the number of rank-n signed permutations."""
+    if not _is_int(n) or n < 0:
+        raise RankTooLarge(f"rank {n!r} must be an integer >= 0")
+    return 2 ** n * math.factorial(n)
 
 
 def _stat_radix(n: int, name: str) -> int:
@@ -318,17 +316,8 @@ def verify_max_crossing_counts(n_max: int = 6) -> VerificationReport:
 
 
 def _desk_shapes(max_rows: int, max_cols: int) -> Iterator[tuple[int, ...]]:
-    def grow(prefix, limit):
-        yield tuple(prefix)
-        if len(prefix) == max_rows:
-            return
-        for w in range(1, limit + 1):
-            prefix.append(w)
-            yield from grow(prefix, w)
-            prefix.pop()
-
-    for first in range(1, max_cols + 1):
-        yield from grow([first], first)
+    for rows in range(1, max_rows + 1):
+        yield from combinations_with_replacement(range(max_cols, 0, -1), rows)
 
 
 def verify_avoider_symmetry(max_rows: int = 4, max_cols: int = 4,
@@ -344,21 +333,15 @@ def verify_avoider_symmetry(max_rows: int = 4, max_cols: int = 4,
     every desk case up to 4x4, which the tests check.
     """
     if not (_is_int(max_rows) and _is_int(max_cols)) or min(max_rows, max_cols) < 1:
-        raise RankTooLarge(
-            f"desk shape bounds {max_rows!r}x{max_cols!r} select no shape; "
-            "both must be integers >= 1"
-        )
-    if not ks or not all(map(_is_int, ks)) or min(ks) < 1:
-        raise RankTooLarge(f"pattern sizes {list(ks)} must be nonempty integers, each >= 1")
+        raise RankTooLarge(f"desk shape bounds {max_rows!r}x{max_cols!r} select no shape; "
+                           "both must be integers >= 1")
+    if not isinstance(ks, (tuple, list)) or not ks or not all(map(_is_int, ks)) or min(ks) < 1:
+        raise RankTooLarge(f"pattern sizes {ks!r} must be a nonempty tuple or list of ints >= 1")
     bad = []
     checked = 0
     for shape in _desk_shapes(max_rows, max_cols):
-        rows = len(shape)
-        cols = shape[0]
-        for rmask in range(2 ** rows):
-            row_sums = tuple((rmask >> i) & 1 for i in range(rows))
-            for cmask in range(2 ** cols):
-                col_sums = tuple((cmask >> i) & 1 for i in range(cols))
+        for row_sums in product((0, 1), repeat=len(shape)):
+            for col_sums in product((0, 1), repeat=shape[0]):
                 if sum(row_sums) != sum(col_sums):
                     continue
                 table = border_walks(shape, row_sums, col_sums)

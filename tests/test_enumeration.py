@@ -52,6 +52,13 @@ class TestEnumeration:
         assert bn_size(n) == size
         assert signed_values_batch(n).shape == (size, n)
 
+    @pytest.mark.parametrize("n", [-1, True, 2.0, "2"])
+    def test_cardinality_needs_a_rank(self, n):
+        # -1 read 0.5, True 2, and 2.0 raised a raw TypeError
+        assert bn_size(0) == 1 and bn_size(17) == 2 ** 17 * 355687428096000
+        with pytest.raises(RankTooLarge):
+            bn_size(n)
+
     def test_no_duplicates(self):
         seen = {p.values for p in enumerate_bn(3)}
         assert len(seen) == 48
@@ -201,7 +208,7 @@ class TestVerifierBounds:
         with pytest.raises(RankTooLarge):
             verify_avoider_symmetry(**bounds)
 
-    @pytest.mark.parametrize("ks", [(), (0,), (2, 0), (2.5,), (True,)])
+    @pytest.mark.parametrize("ks", [(), (0,), (2, 0), (2.5,), (True,), 2])
     def test_pattern_sizes_below_one(self, no_walk, ks):
         with pytest.raises(RankTooLarge):
             verify_avoider_symmetry(3, 3, ks=ks)

@@ -21,6 +21,7 @@ from crossnest import (
     upper_diagram,
     wex,
     xi,
+    young_shape,
 )
 from crossnest.enumeration import (
     MAX_ENUM_RANK,
@@ -96,16 +97,16 @@ def test_one_line_batch_inverts_upper_arcs_batch(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_closing_order_reads_each_rows_filling(n):
     # the join rule that both maps share gives xi's filling: read from the
-    # largest closer down, the joined counts are the shape's row widths and
-    # the closing arcs are the columns of the rows' 1s
-    order, ends, joined = K._closing_order(K.upper_arcs_batch(signed_values_batch(n)))
-    width = joined.sum(axis=2)[:, ::-1].tolist()
-    column = (order[:, ::-1] + 1).tolist()
-    for p, e, w, c in zip(enumerate_bn(n), ends.tolist(), width, column):
-        f = xi(upper_diagram(p))     # on young_shape's shape and closers
-        assert w == list(f.shape)
-        assert e == list(f.closers)
-        assert sorted(f.ones) == list(enumerate(c, start=1))
+    # largest closer down, the widths are young_shape's rows and the
+    # closing arcs are the columns of the rows' 1s
+    order, ends, width = K._closing_order(K.upper_arcs_batch(signed_values_batch(n)))
+    assert width.shape == ends.shape == order.shape
+    for p, e, w, o in zip(enumerate_bn(n), ends.tolist(), width.tolist(), order.tolist()):
+        d = upper_diagram(p)
+        shape, _, closers = young_shape(d)
+        assert w[::-1] == list(shape)
+        assert e == list(closers)
+        assert sorted(xi(d).ones) == list(enumerate((c + 1 for c in o[::-1]), start=1))
 
 
 def images(kernel, n):
@@ -150,6 +151,23 @@ def test_pair_involution_batch_image_not_a_permutation():
     with pytest.raises(Desynchronized,
                        match=r"row \[-1, -1\]: image \[-1, -1\] is not a signed permutation"):
         K.pair_involution_batch(table((-2, 1), (-1, 1)))
+
+
+@pytest.mark.parametrize("kernel,error", [
+    (K.pair_involution_batch, Desynchronized), (K.theta_batch, InconsistentGrowth)])
+@pytest.mark.parametrize("arcs,message", [
+    # two arcs end at 1
+    (((-2, 1), (-1, 1)), r"row \[-1, -1\]: image \[-1, -1\] is not a signed permutation"),
+    # two arcs start at 1
+    (((1, 2), (1, 2)), r"row \[2, 0\]: image \[2, 0\] is not a signed permutation"),
+    # an arc running right to left
+    (((2, 1), (1, 2)), r"row \[2, 1\]: closer 1: partner 2 is not open"),
+    # two starts of magnitude 1
+    (((-1, 2), (1, 1)), r"row \[1, 0\]: image \[2, 0\] is not a signed permutation"),
+])
+def test_maps_reject_tables_of_no_signed_permutation(kernel, error, arcs, message):
+    with pytest.raises(error, match=message):
+        kernel(table(*arcs))
 
 
 def test_int8_tables_reject_larger_ranks():
