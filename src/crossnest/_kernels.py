@@ -151,6 +151,7 @@ def _closing_order(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     order = np.argsort(arcs[:, :, 1], axis=1, kind="stable")
     ends = np.take_along_axis(arcs[:, :, 1], order, axis=1)
+    # one (P, n) comparison per arc, so no (P, n, n) array is built
     width = sum(_joined(arcs[:, a, None, 0], ends) for a in range(arcs.shape[1]))
     return order, ends, width
 
