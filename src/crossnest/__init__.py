@@ -54,10 +54,7 @@ from .fillings import (
 )
 from .involution import crossing_nesting_involution
 from .statistics import (
-    ChainKind,
-    ChainWitness,
     PairKind,
-    PairPattern,
     classify_pair,
     cro,
     cro_star,

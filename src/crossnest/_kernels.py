@@ -156,12 +156,19 @@ def _closing_order(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return order, ends, width
 
 
+def _arc_list(arcs: np.ndarray, row: int) -> str:
+    """Row `row` of an arc table as its (start,end) pairs, for error
+    messages: a broken row need not be a signed permutation, so its
+    one-line form could hide the fault."""
+    return "[" + ", ".join(f"({s},{e})" for s, e in arcs[row].tolist()) + "]"
+
+
 def _check_joined(arcs: np.ndarray, error: type[Exception]) -> None:
     """Raise `error` on the first row with an arc not joined by its own end."""
     lost = ~_joined(arcs[:, :, 0], arcs[:, :, 1])
     if lost.any():
         row, a = np.unravel_index(lost.argmax(), lost.shape)
-        raise error(f"row {one_line_batch(arcs)[row].tolist()}: closer {arcs[row, a, 1]}: "
+        raise error(f"row {_arc_list(arcs, row)}: closer {arcs[row, a, 1]}: "
                     f"partner {arcs[row, a, 0]} is not open")
 
 
@@ -172,8 +179,8 @@ def _check_image(arcs: np.ndarray, out: np.ndarray, error: type[Exception]) -> N
     broken = (np.sort(np.abs(out), axis=1) != magnitudes).any(axis=(1, 2))
     if broken.any():
         row = broken.argmax()
-        raise error(f"row {one_line_batch(arcs)[row].tolist()}: image "
-                    f"{one_line_batch(out)[row].tolist()} is not a signed permutation")
+        raise error(f"row {_arc_list(arcs, row)}: image {_arc_list(out, row)} "
+                    "is not a signed permutation")
 
 
 def pair_involution_batch(arcs: np.ndarray) -> np.ndarray:
@@ -294,7 +301,7 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
             if broken.any():
                 row = broken.argmax()
                 raise InconsistentGrowth(
-                    f"row {one_line_batch(arcs)[row].tolist()}: corner ({r + 1},{c + 1}) "
+                    f"row {_arc_list(arcs, row)}: corner ({r + 1},{c + 1}) "
                     f"{_partition(rho[:, row])} cannot sit below {_partition(mu[:, row])} "
                     f"and right of {_partition(nu[:, row])}")
             np.copyto(labels[r, c], lam, where=~border)
@@ -302,12 +309,12 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
     edges = labels[0].any(axis=(0, 1)) | labels[:, 0].any(axis=(0, 1))
     if edges.any():
         row = edges.argmax()
-        raise InconsistentGrowth(f"row {one_line_batch(arcs)[row].tolist()}: "
+        raise InconsistentGrowth(f"row {_arc_list(arcs, row)}: "
                                  "rebuilding left a box on the top or left edge")
     broken = (ones.sum(axis=1) != 1).any(axis=1) | (ones.sum(axis=2) != 1).any(axis=1)
     if broken.any():
         row = broken.argmax()
-        raise InconsistentGrowth(f"row {one_line_batch(arcs)[row].tolist()}: "
+        raise InconsistentGrowth(f"row {_arc_list(arcs, row)}: "
                                  "the rebuilt filling is not a signed permutation")
     # row r + 1 closes the arc of its 1's column at closers[:, r]
     out = arcs.copy()

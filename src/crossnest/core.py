@@ -8,6 +8,13 @@ whenever i <= s(i).  The resulting set of upper arcs determines the
 permutation, so it is the canonical combinatorial model here: exactly
 one arc per magnitude, loops only at positive fixed vertices (a fixed
 negative vertex stays bare and counts as isolated).
+
+Scanning the vertices left to right, an arc joins the open arcs at its
+start: a positive vertex joins before it closes, a negative one after.
+`_joined` states that type-B join rule once for the scalar layer, and
+`statistics` and `fillings` read every shared vertex through it; the
+array kernels keep their own copy, `_kernels._joined`, so each layer
+checks the other.
 """
 
 from __future__ import annotations
@@ -178,6 +185,13 @@ def permutation_from_upper(d: UpperDiagram) -> SignedPermutation:
         return SignedPermutation(tuple(values))
     except (RankViolation, ZeroEntry) as exc:
         raise InconsistentDiagram(str(exc)) from exc
+
+
+def _joined(start: int, vertex: int) -> bool:
+    """Whether an arc starting at `start` has joined the open arcs when
+    `vertex` closes: a positive vertex joins before it closes, a negative
+    one after."""
+    return start < vertex or start == vertex > 0
 
 
 class VertexKind(Enum):

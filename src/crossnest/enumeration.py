@@ -335,8 +335,10 @@ def verify_avoider_symmetry(max_rows: int = 4, max_cols: int = 4,
     if not (_is_int(max_rows) and _is_int(max_cols)) or min(max_rows, max_cols) < 1:
         raise RankTooLarge(f"desk shape bounds {max_rows!r}x{max_cols!r} select no shape; "
                            "both must be integers >= 1")
-    if not isinstance(ks, (tuple, list)) or not ks or not all(map(_is_int, ks)) or min(ks) < 1:
-        raise RankTooLarge(f"pattern sizes {ks!r} must be a nonempty tuple or list of ints >= 1")
+    if (not isinstance(ks, (tuple, list)) or not ks or not all(map(_is_int, ks))
+            or min(ks) < 1 or len(set(ks)) < len(ks)):
+        raise RankTooLarge(f"pattern sizes {ks!r} must be a nonempty tuple or list "
+                           "of distinct ints >= 1")
     bad = []
     checked = 0
     for shape in _desk_shapes(max_rows, max_cols):

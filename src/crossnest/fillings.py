@@ -3,8 +3,9 @@ involution that swaps the maximal chain statistics.
 
 Write the closers of a diagram as i_1 < ... < i_c and the openers as
 j_1 < ... < j_c (a transient or fixed vertex appears in both lists).
-Give each closer i the width p(i) = number of openers left of i, plus
-one when i is a positive vertex that is itself an opener.  Stacking the
+Give each closer i the width p(i) = number of openers joined by i under
+`core._joined`: those left of i, plus i itself when it is a positive
+vertex that is also an opener.  Stacking the
 widths from the largest closer down yields a weakly decreasing shape;
 the arc from opener j_s to closer i_r marks the cell in column s and
 row c - r + 1.  Under this encoding a crossing chain of size k appears
@@ -38,7 +39,6 @@ pattern are the fillings whose size of that kind stays below k.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
@@ -48,6 +48,7 @@ from .core import (
     Arc,
     SignedPermutation,
     UpperDiagram,
+    _joined,
     permutation_from_upper,
     upper_diagram,
 )
@@ -117,15 +118,7 @@ def young_shape(d: UpperDiagram) -> ShapeData:
     """Shape and vertex lists of the filling encoding of d."""
     openers = tuple(sorted(a.start for a in d.arcs))
     closers = tuple(sorted(a.end for a in d.arcs))
-    opener_set = set(openers)
-
-    def width(i: int) -> int:
-        w = bisect.bisect_left(openers, i)
-        if i > 0 and i in opener_set:
-            w += 1
-        return w
-
-    shape = tuple(width(i) for i in reversed(closers))
+    shape = tuple(sum(_joined(j, i) for j in openers) for i in reversed(closers))
     return ShapeData(shape, openers, closers)
 
 

@@ -3,29 +3,32 @@
 Two upper arcs fall into exactly one of five patterns: proper crossing,
 skew crossing (they share a vertex, end of one = start of the other),
 proper nesting, skew nesting (an arc over a loop), or alignment.  The
-type-B twist is in the signs: a shared vertex only counts as a crossing
-when it is positive, and only positive fixed vertices carry the loop
-that makes coverage a nesting.  With those conventions the crossing and
+type-B twist is in the signs, and all of it is the join rule
+`core._joined`: a later arc crosses an earlier one only if it has joined
+by the earlier arc's end, so a shared vertex counts as a crossing only
+when it is positive.  Only positive fixed vertices carry the loop that
+makes coverage a nesting.  With those conventions the crossing and
 nesting numbers are plain pattern counts over arc pairs.
 
 Chains generalise pairs: a k-crossing is k arcs with both endpoints
-strictly increasing and every start at most every end; a k-nesting is k
+strictly increasing and every arc joined by every end; a k-nesting is k
 arcs nested strictly inside one another, innermost possibly a loop.
 Maximal chain sizes are computed three ways, so each can check the
 others: by patience sorting over one diagram here (`max_chain_sizes`),
-by brute force over arc subsets here, and by a DP over the arc columns
-of a whole batch in `_kernels.chain_stats_batch`, which the sweeps use.
+by brute force over arc subsets here (`largest_crossing_chain` and
+`largest_nesting_chain` return the first maximal chain found, as a
+start-sorted tuple of arcs), and by a DP over the arc columns of a
+whole batch in `_kernels.chain_stats_batch`, which the sweeps use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .core import Arc, SignedPermutation, UpperDiagram, _as_diagram
+from .core import Arc, SignedPermutation, UpperDiagram, _as_diagram, _joined
 from .errors import SameArc
 
 
@@ -37,43 +40,34 @@ class PairKind(Enum):
     ALIGNMENT = "alignment"
 
 
-@dataclass(frozen=True)
-class PairPattern:
-    kind: PairKind
-    arcs: frozenset[Arc]
-
-
-def classify_pair(a: Arc, b: Arc) -> PairPattern:
+def classify_pair(a: Arc, b: Arc) -> PairKind:
     """Classify two distinct arcs of one diagram.
 
-    Arcs are compared after ordering by start.  A pair sharing a vertex
-    is a skew crossing when that vertex is positive and an alignment
-    when it is negative; loops under an arc are skew nestings.
+    Arcs are compared after ordering by start.  The later arc lines up
+    with the earlier one unless it has joined by the earlier one's end;
+    then it nests when it ends first (skew over a loop) and crosses when
+    it ends beyond (skew on a shared vertex, necessarily positive).
     """
     if a == b:
         raise SameArc(f"cannot classify arc {a} against itself")
     first, second = sorted((Arc(*a), Arc(*b)))
     u1, v1 = first
     u2, v2 = second
-    if v1 == u2:
-        kind = PairKind.SKEW_CROSSING if u2 > 0 else PairKind.ALIGNMENT
-    elif u2 > v1:
-        kind = PairKind.ALIGNMENT
-    elif v2 < v1:
-        kind = PairKind.SKEW_NESTING if second.is_loop else PairKind.PROPER_NESTING
-    elif v2 > v1:
-        kind = PairKind.PROPER_CROSSING
-    else:
-        # v1 == v2 cannot happen inside one diagram (indegree <= 1)
-        kind = PairKind.ALIGNMENT
-    return PairPattern(kind, frozenset({first, second}))
+    if not _joined(u2, v1):
+        return PairKind.ALIGNMENT
+    if v2 < v1:
+        return PairKind.SKEW_NESTING if second.is_loop else PairKind.PROPER_NESTING
+    if v2 > v1:
+        return PairKind.SKEW_CROSSING if u2 == v1 else PairKind.PROPER_CROSSING
+    # v1 == v2 cannot happen inside one diagram (indegree <= 1)
+    return PairKind.ALIGNMENT
 
 
 def pair_kind_counts(x: SignedPermutation | UpperDiagram) -> dict[PairKind, int]:
     d = _as_diagram(x)
     counts = {kind: 0 for kind in PairKind}
     for a, b in combinations(d.sorted_arcs, 2):
-        counts[classify_pair(a, b).kind] += 1
+        counts[classify_pair(a, b)] += 1
     return counts
 
 
@@ -94,58 +88,25 @@ def nes(x: SignedPermutation | UpperDiagram) -> int:
     return _cro_nes(x)[1]
 
 
-class ChainKind(Enum):
-    CROSSING = "crossing"
-    NESTING = "nesting"
-
-
-@dataclass(frozen=True)
-class ChainWitness:
-    kind: ChainKind
-    arcs: tuple[Arc, ...]   # sorted by start
-
-    @property
-    def k(self) -> int:
-        return len(self.arcs)
-
-
 def is_crossing_chain(arcs: Iterable[Arc]) -> bool:
     """True when the arcs form a crossing chain: starts strictly
-    increasing, ends strictly increasing, max start <= min end, and a
-    start meeting an end only at a positive vertex."""
+    increasing, ends strictly increasing, and the last arc joined by the
+    first end, so that every arc has joined by every end."""
     chain = sorted(Arc(*a) for a in arcs)
-    if not chain:
-        return False
-    if len(chain) == 1:
-        return True
-    starts = [a.start for a in chain]
-    ends = [a.end for a in chain]
-    if any(s2 <= s1 for s1, s2 in zip(starts, starts[1:])):
-        return False
-    if any(e2 <= e1 for e1, e2 in zip(ends, ends[1:])):
-        return False
-    if starts[-1] > ends[0]:
-        return False
-    if starts[-1] == ends[0] and starts[-1] < 0:
-        return False
-    return True
+    if len(chain) < 2:
+        return bool(chain)
+    return (all(s1 < s2 and e1 < e2 for (s1, e1), (s2, e2) in zip(chain, chain[1:]))
+            and _joined(chain[-1].start, chain[0].end))
 
 
 def is_nesting_chain(arcs: Iterable[Arc]) -> bool:
     """True when the arcs nest strictly inside one another; only the
     innermost may degenerate to a loop."""
     chain = sorted(Arc(*a) for a in arcs)
-    if not chain:
-        return False
-    if len(chain) == 1:
-        return True
-    starts = [a.start for a in chain]
-    ends = [a.end for a in chain]
-    if any(s2 <= s1 for s1, s2 in zip(starts, starts[1:])):
-        return False
-    if any(e2 >= e1 for e1, e2 in zip(ends, ends[1:])):
-        return False
-    return starts[-1] <= ends[-1]
+    if len(chain) < 2:
+        return bool(chain)
+    return (all(s1 < s2 and e1 > e2 for (s1, e1), (s2, e2) in zip(chain, chain[1:]))
+            and chain[-1].start <= chain[-1].end)
 
 
 def _chain_sizes(starts: list[int], ends: list[int]) -> tuple[int, int]:
@@ -156,9 +117,8 @@ def _chain_sizes(starts: list[int], ends: list[int]) -> tuple[int, int]:
     Ends are distinct, and each run below is patience sorting: `tops[i]`
     is the smallest last key of a strictly increasing run of length i + 1.
     Crossing: the first arc f of a chain has the smallest end, so the
-    chain condition says every later arc starts no later than e_f (on a
-    shared vertex only when it is positive) and ends beyond it; those
-    arcs carry the longest rising run of ends.
+    chain condition says every later arc has joined by e_f and ends
+    beyond it; those arcs carry the longest rising run of ends.
     Nesting: starts rise with the index and a loop can only be innermost,
     so a nesting chain is a falling run of ends.
     """
@@ -168,24 +128,17 @@ def _chain_sizes(starts: list[int], ends: list[int]) -> tuple[int, int]:
         ef = ends[f]
         tops: list[int] = []
         for g in range(f + 1, m):
-            sg = starts[g]
-            if sg > ef or (sg == ef and sg < 0):
+            if not _joined(starts[g], ef):
                 break
             eg = ends[g]
             if eg > ef:
                 i = bisect_left(tops, eg)
-                if i == len(tops):
-                    tops.append(eg)
-                else:
-                    tops[i] = eg
+                tops[i:i + 1] = [eg]    # replace tops[i], or append when i == len(tops)
         best_cross = max(best_cross, len(tops) + 1)
     tops = []
     for e in ends:
         i = bisect_left(tops, -e)
-        if i == len(tops):
-            tops.append(-e)
-        else:
-            tops[i] = -e
+        tops[i:i + 1] = [-e]
     return best_cross, len(tops)
 
 
@@ -203,32 +156,33 @@ def nes_star(x: SignedPermutation | UpperDiagram) -> int:
     return max_chain_sizes(x)[1]
 
 
-def largest_crossing_chain(x: SignedPermutation | UpperDiagram) -> ChainWitness:
-    """A maximal crossing chain, found by trying every arc subset,
-    largest first; the first hit in subset order makes it deterministic."""
+def _largest_chain(x: SignedPermutation | UpperDiagram,
+                   is_chain: Callable[[Iterable[Arc]], bool]) -> tuple[Arc, ...]:
+    """The first arc subset that `is_chain` accepts, trying every subset,
+    largest first; subset order makes it deterministic and start-sorted."""
     arcs = _as_diagram(x).sorted_arcs
     for k in range(len(arcs), 0, -1):
         for subset in combinations(arcs, k):
-            if is_crossing_chain(subset):
-                return ChainWitness(ChainKind.CROSSING, subset)
+            if is_chain(subset):
+                return subset
     raise AssertionError("a diagram always has a single-arc chain")
 
 
-def largest_nesting_chain(x: SignedPermutation | UpperDiagram) -> ChainWitness:
-    """A maximal nesting chain, by the same exhaustive scan."""
-    arcs = _as_diagram(x).sorted_arcs
-    for k in range(len(arcs), 0, -1):
-        for subset in combinations(arcs, k):
-            if is_nesting_chain(subset):
-                return ChainWitness(ChainKind.NESTING, subset)
-    raise AssertionError("a diagram always has a single-arc chain")
+def largest_crossing_chain(x: SignedPermutation | UpperDiagram) -> tuple[Arc, ...]:
+    """A maximal crossing chain, by exhaustive search over arc subsets."""
+    return _largest_chain(x, is_crossing_chain)
+
+
+def largest_nesting_chain(x: SignedPermutation | UpperDiagram) -> tuple[Arc, ...]:
+    """A maximal nesting chain, by the same exhaustive search."""
+    return _largest_chain(x, is_nesting_chain)
 
 
 def cro_star_brute(x: SignedPermutation | UpperDiagram) -> int:
     """Oracle for cro_star, independent of the DP."""
-    return largest_crossing_chain(x).k
+    return len(largest_crossing_chain(x))
 
 
 def nes_star_brute(x: SignedPermutation | UpperDiagram) -> int:
     """Oracle for nes_star, independent of the DP."""
-    return largest_nesting_chain(x).k
+    return len(largest_nesting_chain(x))

@@ -208,7 +208,7 @@ class TestVerifierBounds:
         with pytest.raises(RankTooLarge):
             verify_avoider_symmetry(**bounds)
 
-    @pytest.mark.parametrize("ks", [(), (0,), (2, 0), (2.5,), (True,), 2])
+    @pytest.mark.parametrize("ks", [(), (0,), (2, 0), (2.5,), (True,), 2, (2, 2)])
     def test_pattern_sizes_below_one(self, no_walk, ks):
         with pytest.raises(RankTooLarge):
             verify_avoider_symmetry(3, 3, ks=ks)

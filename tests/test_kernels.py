@@ -149,7 +149,8 @@ def test_pair_involution_batch_image_not_a_permutation():
     # image closes its arc from -1 first, then its arc from -2, so both
     # image arcs end at 1 and s(1) = s(2) = -1
     with pytest.raises(Desynchronized,
-                       match=r"row \[-1, -1\]: image \[-1, -1\] is not a signed permutation"):
+                       match=r"row \[\(-2,1\), \(-1,1\)\]: image \[\(-2,1\), \(-1,1\)\] "
+                             "is not a signed permutation"):
         K.pair_involution_batch(table((-2, 1), (-1, 1)))
 
 
@@ -157,14 +158,17 @@ def test_pair_involution_batch_image_not_a_permutation():
     (K.pair_involution_batch, Desynchronized), (K.theta_batch, InconsistentGrowth)])
 @pytest.mark.parametrize("arcs,message", [
     # two arcs end at 1
-    (((-2, 1), (-1, 1)), r"row \[-1, -1\]: image \[-1, -1\] is not a signed permutation"),
+    (((-2, 1), (-1, 1)),
+     r"row \[\(-2,1\), \(-1,1\)\]: image \[\(-2,1\), \(-1,1\)\] is not a signed permutation"),
     # two arcs start at 1
-    (((1, 2), (1, 2)), r"row \[2, 0\]: image \[2, 0\] is not a signed permutation"),
+    (((1, 2), (1, 2)),
+     r"row \[\(1,2\), \(1,2\)\]: image \[\(1,2\), \(1,2\)\] is not a signed permutation"),
     # an arc running right to left
-    (((2, 1), (1, 2)), r"row \[2, 1\]: closer 1: partner 2 is not open"),
+    (((2, 1), (1, 2)), r"row \[\(2,1\), \(1,2\)\]: closer 1: partner 2 is not open"),
     # two starts of magnitude 1
-    (((-1, 2), (1, 1)), r"row \[1, 0\]: image \[2, 0\] is not a signed permutation"),
-])
+    (((-1, 2), (1, 1)),
+     r"row \[\(-1,2\), \(1,1\)\]: image \[\(-1,1\), \(1,2\)\] is not a signed permutation"),
+], ids=["two-ends", "two-starts", "right-to-left", "two-magnitude-1-starts"])
 def test_maps_reject_tables_of_no_signed_permutation(kernel, error, arcs, message):
     with pytest.raises(error, match=message):
         kernel(table(*arcs))
@@ -201,7 +205,7 @@ def test_theta_batch_images_match_pinned_map():
     # doubled border labels: the first cell rebuilt, (2, 1) of the shape
     # (2, 1), has a corner two boxes above its neighbours
     (lambda labels: 2 * labels,
-     r"row \[1, 2\]: corner \(2,1\) \(2,\) cannot sit below \(\) and right of \(\)"),
+     r"row \[\(1,1\), \(2,2\)\]: corner \(2,1\) \(2,\) cannot sit below \(\) and right of \(\)"),
     # a box on every corner survives the backward rules up to the edges
     (lambda labels: np.maximum(labels, np.eye(len(labels[0, 0]), 1, dtype=labels.dtype)),
      "left a box on the top or left edge"),
