@@ -4,18 +4,17 @@ Enumerating all 2^n * n! signed permutations of a rank and computing
 statistics for each one is the only hot loop in this package.  All four
 kernels read one layout, the int8 arc table of `upper_arcs_batch`, shape
 (P, n, 2), arcs sorted by start within each row; `enumeration` feeds
-them blocks of about `BLOCK_ROWS` rows (`INVOLUTION_BLOCK_ROWS` for the
-involution suites), so P stays small whatever the rank.  The pair
-statistics loop over the n(n-1)/2 column pairs of the table, each step
-a few operations on 1-D columns of length P; the chain statistics are
-DPs over the same column pairs (and, for crossings, the column triples
-between a chain's first arc and its last).  Nestings read the ends
-alone, as starts rise along the table; crossings also need the type-B
-join rule, `_joined`.  The two involutions map arc tables to arc tables
-that keep every start, and so the start order.  Both read the arcs in
-closing order from `_closing_order`, with each closer's row width, the
-arcs joined by then.  The pair involution is the rank-mirror scan of
-`involution`, one closer per row at each of n steps.  The chain
+them blocks of about `BLOCK_ROWS` rows, so P stays small whatever the
+rank.  The pair statistics loop over the n(n-1)/2 column pairs of the
+table, each step a few operations on 1-D columns of length P; the chain
+statistics are DPs over the same column pairs (and, for crossings, the
+column triples between a chain's first arc and its last).  Nestings
+read the ends alone, as starts rise along the table; crossings also need
+the type-B join rule, `_joined`.  The two involutions map arc tables to
+arc tables that keep every start, and so the start order.  Both read the
+arcs in closing order from `_closing_order`, with each closer's row
+width, the arcs joined by then.  The pair involution is the rank-mirror
+scan of `involution`, one closer per row at each of n steps.  The chain
 involution is the growth-diagram map of `fillings`: Fomin's local rules,
 one cell of the n x n grid at a time, on the labels of that cell's
 corners for every row.
@@ -271,13 +270,13 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
     The labels of all (n+1)^2 corners of the n x n grid, with n+1 parts
     each, grow by Fomin's forward rules; cells outside a row's shape hold
     no 1, so the labels on and inside the shape are the filling's own.
-    All labels are conjugated; a corner (r, c) keeps its conjugated label
-    when c >= width(r+1), which puts it on or beyond the shape's outer
-    border, and the backward rules rebuild the others, bottom row first
-    and right to left.  An arc that has not joined at its own end, a
-    corner that breaks the backward rules, a box left on the top or left
-    edge, a rebuilt filling or an image that is not a signed permutation
-    raises InconsistentGrowth.
+    Each corner row is conjugated as the backward rules reach it, bottom
+    row first; a corner (r, c) keeps its conjugated label when
+    c >= width(r+1), on or beyond the shape's outer border, and the rules
+    rebuild the others right to left, each 1 ending its column's arc at
+    its row's closer.  An arc not joined at its own end, a corner that
+    breaks the backward rules, a box left on the top or left edge, or an
+    image that is not a signed permutation raises InconsistentGrowth.
     """
     p, n = arcs.shape[:2]
     _check_joined(arcs, InconsistentGrowth)
@@ -290,9 +289,11 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
         for c in range(1, n + 1):
             labels[r, c] = _forward_rule(labels[r - 1, c - 1], labels[r - 1, c],
                                          labels[r, c - 1], column[:, r - 1] == c)
-    labels = _conjugate(labels)
-    ones = np.zeros((p, n, n), dtype=bool)          # the image's cell (r+1, c+1)
+    labels[n] = _conjugate(labels[n])
+    out = arcs.copy()
+    out[:, :, 1] = 0                  # an image arc ends at 0 until it closes
     for r in range(n - 1, -1, -1):
+        labels[r] = _conjugate(labels[r])
         for c in range(n - 1, -1, -1):
             border = c >= width[:, r]
             rho, mu, nu = labels[r + 1, c + 1], labels[r, c + 1], labels[r + 1, c]
@@ -305,19 +306,11 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
                     f"{_partition(rho[:, row])} cannot sit below {_partition(mu[:, row])} "
                     f"and right of {_partition(nu[:, row])}")
             np.copyto(labels[r, c], lam, where=~border)
-            ones[:, r, c] = ~border & filled
+            np.copyto(out[:, c, 1], closers[:, r], where=~border & filled)
     edges = labels[0].any(axis=(0, 1)) | labels[:, 0].any(axis=(0, 1))
     if edges.any():
         row = edges.argmax()
         raise InconsistentGrowth(f"row {_arc_list(arcs, row)}: "
                                  "rebuilding left a box on the top or left edge")
-    broken = (ones.sum(axis=1) != 1).any(axis=1) | (ones.sum(axis=2) != 1).any(axis=1)
-    if broken.any():
-        row = broken.argmax()
-        raise InconsistentGrowth(f"row {_arc_list(arcs, row)}: "
-                                 "the rebuilt filling is not a signed permutation")
-    # row r + 1 closes the arc of its 1's column at closers[:, r]
-    out = arcs.copy()
-    out[np.arange(p)[:, None], ones.argmax(axis=2), 1] = closers
     _check_image(arcs, out, InconsistentGrowth)
     return out

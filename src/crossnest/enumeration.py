@@ -6,7 +6,7 @@ involutions in `involution` and `fillings`: a distribution table is
 built over the full rank (or over one degree-sequence class) and checked
 for symmetry key by key.  The involution property suite is a separate
 claim that applies the maps and confirms their documented behaviour.
-Both maps take one arc table per block of `INVOLUTION_BLOCK_ROWS` rows
+Both maps take one arc table per block of the same stream as `_sweep`
 and return the images' tables, with the statistics compared column by
 column.  The maps, `_kernels.pair_involution_batch` and `theta_batch`,
 are checked in the tests against their scalar references,
@@ -43,11 +43,6 @@ MAX_ENUM_RANK = 8
 # magnitude permutations.  The rank-7 pair sweep took 0.34, 0.13 and 0.11 s
 # at 2^10, 2^12 and 2^14 rows (best of 5, fresh process, 2 cores)
 BLOCK_ROWS = 2 ** 14
-# rows per block of the involution suites, whose blocks also hold theta's
-# (n+1)^3 growth-diagram labels per row: at 2^10, 2^12 and 2^14 rows the
-# rank-6 theta suite read 30.9, 35.0 and 50.7 MB and took 0.65, 0.44 and
-# 0.43 s, so the suites keep the smaller blocks
-INVOLUTION_BLOCK_ROWS = 2 ** 10
 
 STAT_NAMES = ("nes", "cro", "wex", "neg", "cro_star", "nes_star")
 PAIR_STATS = ("cro", "nes", "wex", "neg")      # pair_stats_batch columns
@@ -85,11 +80,11 @@ def signed_values_batch(n: int) -> np.ndarray:
     return _signed_rows(_magnitudes(n), n)
 
 
-def _signed_value_blocks(n: int, rows: int = BLOCK_ROWS) -> Iterator[np.ndarray]:
+def _signed_value_blocks(n: int) -> Iterator[np.ndarray]:
     """The rows of `signed_values_batch(n)`, in order, in blocks of
-    about `rows`."""
+    about `BLOCK_ROWS`."""
     mags = _magnitudes(n)
-    step = max(1, rows >> n)
+    step = max(1, BLOCK_ROWS >> n)
     for lo in range(0, len(mags), step):
         yield _signed_rows(mags[lo:lo + step], n)
 
@@ -397,6 +392,8 @@ def _map_failures(values: np.ndarray, which: str) -> list[dict]:
         (back != arcs).any(axis=(1, 2)),
     ], axis=1)
     rows = np.flatnonzero(failed.any(axis=1))
+    if not len(rows):
+        return []
     images, twice = _kernels.one_line_batch(image[rows]), _kernels.one_line_batch(back[rows])
     failures = []
     for i, row in enumerate(rows.tolist()):
@@ -429,7 +426,7 @@ def verify_involution_properties(
     bad = []
     count = 0
     for n in range(1, n_max + 1):
-        for values in _signed_value_blocks(n, INVOLUTION_BLOCK_ROWS):
+        for values in _signed_value_blocks(n):
             count += len(values)
             bad.extend(_map_failures(values, which))
     return VerificationReport(

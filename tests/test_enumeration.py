@@ -389,7 +389,7 @@ class TestInvolutionSuite:
         assert report.info["permutations_checked"] == 50362
 
     def test_pair_suite_builds_one_arc_table_per_block(self, monkeypatch):
-        # rank 5 streams 8 blocks: one for each rank up to 4, four for rank 5
+        # the suites stream the sweeps' blocks: rank 5 takes one per rank
         calls = []
         arcs = _kernels.upper_arcs_batch
 
@@ -399,7 +399,15 @@ class TestInvolutionSuite:
 
         monkeypatch.setattr(_kernels, "upper_arcs_batch", counted)
         assert verify_involution_properties(5, "pair").passed
-        assert len(calls) == 8 and sum(calls) == 4282
+        assert len(calls) == 5 and sum(calls) == 4282
+        # and rank 6 three of its own, for both maps
+        blocks = [len(values) for n in range(1, 7)
+                  for values in enumeration._signed_value_blocks(n)]
+        assert len(blocks) == 8
+        for which in ("pair", "chain"):
+            calls.clear()
+            assert verify_involution_properties(6, which).passed
+            assert calls == blocks
 
     def test_unknown_map_rejected(self, monkeypatch):
         # the map is rejected before any block is enumerated

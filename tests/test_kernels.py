@@ -207,7 +207,7 @@ def test_theta_batch_images_match_pinned_map():
     (lambda labels: 2 * labels,
      r"row \[\(1,1\), \(2,2\)\]: corner \(2,1\) \(2,\) cannot sit below \(\) and right of \(\)"),
     # a box on every corner survives the backward rules up to the edges
-    (lambda labels: np.maximum(labels, np.eye(len(labels[0, 0]), 1, dtype=labels.dtype)),
+    (lambda labels: np.maximum(labels, np.eye(labels.shape[-2], 1, dtype=labels.dtype)),
      "left a box on the top or left edge"),
     # empty border labels rebuild a filling without a 1
     (np.zeros_like, "is not a signed permutation"),
