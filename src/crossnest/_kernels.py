@@ -5,12 +5,13 @@ statistics for each one is the only hot loop in this package.  All four
 kernels read one layout, the int8 arc table of `upper_arcs_batch`, shape
 (P, n, 2), arcs sorted by start within each row; `enumeration` feeds
 them blocks of about `BLOCK_ROWS` rows, so P stays small whatever the
-rank.  The pair statistics loop over the n(n-1)/2 column pairs of the
-table, each step a few operations on 1-D columns of length P; the chain
-statistics are DPs over the same column pairs (and, for crossings, the
-column triples between a chain's first arc and its last).  Nestings
-read the ends alone, as starts rise along the table; crossings also need
-the type-B join rule, `_joined`.  The two involutions map arc tables to
+rank.  The pair statistics take one step per arc, comparing it with
+every later arc at once: a reduction over a (later arcs, P) slice of the
+column-major table.  The chain statistics are DPs over column pairs whose
+inner maximum, over the arcs between a chain's first arc and its last,
+is one slice reduction too.  Nestings read the ends alone, as starts
+rise along the table; crossings also need the type-B join rule,
+`_joined`.  The two involutions map arc tables to
 arc tables that keep every start, and so the start order.  Both read the
 arcs in closing order from `_closing_order`, with each closer's row
 width, the arcs joined by then.  The pair involution is the rank-mirror
@@ -46,14 +47,12 @@ def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.int8)
     idx = np.arange(1, n + 1, dtype=np.int8)
     keep = values >= idx
-    vertices = np.concatenate([-idx, idx])
-    # column n - i for -i and n + i - 1 for i, up to 2n - 1, past int8
-    cols = vertices.astype(np.int64) + n - (vertices > 0)
-    opens = np.empty((p, 2 * n), dtype=bool)
-    opens[:, cols] = np.concatenate([~keep, keep], axis=1)
+    # columns 0..2n-1 are the vertices -n..-1, 1..n in natural order
+    opens = np.concatenate([~keep[:, ::-1], keep], axis=1)
     line = np.empty((p, 2 * n, 2), dtype=np.int8)   # the arc opening each column
-    line[:, cols, 0] = vertices
-    line[:, cols, 1] = np.concatenate([-values, values], axis=1)
+    line[:, :, 0] = np.concatenate([-idx[::-1], idx])
+    line[:, :n, 1] = -values[:, ::-1]
+    line[:, n:, 1] = values
     return line.reshape(-1, 2).take(np.flatnonzero(opens), axis=0).reshape(p, n, 2)
 
 
@@ -76,10 +75,11 @@ def _joined(starts: np.ndarray, vertex: np.ndarray) -> np.ndarray:
 # --- pair statistics: cro, nes, wex, neg ---------------------------------
 
 def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
-    """(P, 4) int64 table of (cro, nes, wex, neg), one column pair at a time.
+    """(P, 4) int64 table of (cro, nes, wex, neg), one arc at a time.
 
     For arcs a < b in start order, b nests in a exactly when it ends
-    first, and crosses a when it has joined by a's end and ends beyond it.
+    first, and crosses a when it has joined by a's end and ends beyond it;
+    each arc a counts both against all later arcs b in one reduction.
     cro and nes are counted in int8, which holds the n(n-1)/2 pairs up to
     rank 16; a larger rank raises RankTooLarge.
     """
@@ -92,10 +92,9 @@ def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
     cro = np.zeros(p, dtype=np.int8)
     nes = np.zeros(p, dtype=np.int8)
     for a in range(n):
-        ea = E[a]
-        for b in range(a + 1, n):
-            nes += E[b] < ea
-            cro += _joined(S[b], ea) & (E[b] > ea)
+        ea, later_s, later_e = E[a], S[a + 1:], E[a + 1:]
+        nes += (later_e < ea).sum(axis=0, dtype=np.int8)
+        cro += (_joined(later_s, ea) & (later_e > ea)).sum(axis=0, dtype=np.int8)
     wex = (S > 0).sum(axis=0, dtype=np.int64)
     neg = ((S < 0) & (E > 0)).sum(axis=0, dtype=np.int64)
     return np.stack([cro, nes, wex, neg], axis=1, dtype=np.int64)
@@ -104,16 +103,17 @@ def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
 # --- chain statistics: cro_star, nes_star --------------------------------
 
 def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
-    """(P, 2) table of (cro_star, nes_star), by DPs over column pairs.
+    """(P, 2) table of (cro_star, nes_star), by DPs over the arcs.
 
     Crossing: the first arc f of a chain has the smallest end, so every
     later arc g of it has joined by e_f and ends beyond it.  For each f,
     run[g] is the longest such chain from f that ends at g, or 0 when g
-    cannot follow f; its last step comes from an h between them with a
-    smaller end.
+    cannot follow f; its last step comes from the best h between them
+    with a smaller end, one maximum over the slice f+1..g-1.
     Nesting: starts rise with the index and a loop can only be innermost,
-    so a nesting chain is a falling run of ends; fall[g] is the longest
-    one that ends at g.
+    so a nesting chain is a falling run of ends; fall[g], the longest one
+    that ends at g, is one more than the longest fall[h], h < g, with a
+    larger end, or 1.
     """
     S = np.ascontiguousarray(arcs[:, :, 0].T)
     E = np.ascontiguousarray(arcs[:, :, 1].T)
@@ -123,18 +123,13 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
     for f in range(n):
         ef = E[f]
         for g in range(f + 1, n):
-            sg, eg = S[g], E[g]
-            best = np.ones(p, dtype=np.int64)
-            for h in range(f + 1, g):
-                np.maximum(best, run[h] * (E[h] < eg), out=best)
-            allowed = _joined(sg, ef) & (eg > ef)
-            run[g] = allowed * (best + 1)
-            np.maximum(cro_star, run[g], out=cro_star)
+            eg = E[g]
+            best = (run[f + 1:g] * (E[f + 1:g] < eg)).max(axis=0, initial=1)
+            run[g] = (_joined(S[g], ef) & (eg > ef)) * (best + 1)
+        np.maximum(cro_star, run[f + 1:].max(axis=0, initial=1), out=cro_star)
     fall = np.ones((n, p), dtype=np.int64)
-    for g in range(n):
-        eg = E[g]
-        for h in range(g):
-            np.maximum(fall[g], (fall[h] + 1) * (E[h] > eg), out=fall[g])
+    for g in range(1, n):
+        fall[g] += (fall[:g] * (E[:g] > E[g])).max(axis=0)
     return np.stack([cro_star, fall.max(axis=0)], axis=1)
 
 

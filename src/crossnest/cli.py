@@ -148,7 +148,6 @@ def _verify_involutions(n_max: int = 3) -> VerificationReport:
     return VerificationReport(
         claim="involutions",
         parameters={"n_max": n_max},
-        passed=pair.passed and chain.passed,
         counterexamples=[dict(entry, map=tag)
                          for tag, rep in (("theorem24", pair), ("theta", chain))
                          for entry in rep.counterexamples],

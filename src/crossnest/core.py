@@ -124,6 +124,8 @@ class UpperDiagram:
     arcs: frozenset[Arc]
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+            raise InconsistentDiagram(f"rank {self.n!r} is not an integer >= 1")
         object.__setattr__(self, "arcs", frozenset(Arc(*a) for a in self.arcs))
         starts: set[int] = set()
         ends: set[int] = set()
@@ -236,6 +238,8 @@ def degree_sequence(x: SignedPermutation | UpperDiagram) -> DegreeSequence:
 
 
 def vertex_kind(d: UpperDiagram, v: int) -> VertexKind:
+    if not isinstance(v, int) or isinstance(v, bool) or v == 0 or abs(v) > d.n:
+        raise IndexOutOfRange(f"vertex {v} not in [-{d.n}, {d.n}] \\ {{0}}")
     has_out = any(a.start == v for a in d.arcs)
     has_in = any(a.end == v for a in d.arcs)
     if has_out and has_in:

@@ -209,9 +209,12 @@ def distribution(n: int, schema: tuple[str, ...] = ("nes", "cro", "wex", "neg"))
 class VerificationReport:
     claim: str
     parameters: dict
-    passed: bool
+    passed: bool = field(init=False)    # exactly when there is no counterexample
     counterexamples: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.passed = not self.counterexamples
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -247,7 +250,6 @@ def verify_pair_symmetry(n_max: int = 5) -> VerificationReport:
     return VerificationReport(
         claim="thm24",
         parameters={"n_max": n_max, "schema": ["nes", "cro", "wex", "neg"]},
-        passed=not bad,
         counterexamples=bad,
     )
 
@@ -272,7 +274,6 @@ def verify_chain_symmetry(n_max: int = 4) -> VerificationReport:
     return VerificationReport(
         claim="thm27",
         parameters={"n_max": n_max, "schema": ["cro_star", "nes_star", "neg"]},
-        passed=not bad,
         counterexamples=bad,
     )
 
@@ -304,7 +305,6 @@ def verify_max_crossing_counts(n_max: int = 6) -> VerificationReport:
     return VerificationReport(
         claim="corollary",
         parameters={"n_max": n_max},
-        passed=not bad,
         counterexamples=bad,
         info={"counts": values},
     )
@@ -358,7 +358,6 @@ def verify_avoider_symmetry(max_rows: int = 4, max_cols: int = 4,
     return VerificationReport(
         claim="lemma41",
         parameters={"max_rows": max_rows, "max_cols": max_cols, "ks": list(ks)},
-        passed=not bad,
         counterexamples=bad,
         info={"cases_checked": checked},
     )
@@ -432,7 +431,6 @@ def verify_involution_properties(
     return VerificationReport(
         claim="involutions",
         parameters={"n_max": n_max, "map": which},
-        passed=not bad,
         counterexamples=bad,
         info={"permutations_checked": count},
     )

@@ -76,6 +76,8 @@ class TestParsing:
     def test_empty(self):
         with pytest.raises(MalformedToken):
             parse_permutation("")
+        with pytest.raises(RankViolation, match="rank at least 1"):
+            SignedPermutation(())
 
 
 class TestSigmaAt:
@@ -127,6 +129,24 @@ class TestUpperDiagram:
         with pytest.raises(InconsistentDiagram):
             UpperDiagram(2, frozenset({Arc(1, 1), Arc(1, 2)}))
 
+    @pytest.mark.parametrize("n", [0, -1, True, 1.0, "2"])
+    def test_rank_must_be_a_positive_int(self, n):
+        # rank 0 used to pass with no arcs, and True with one loop at 1
+        arcs = frozenset({Arc(1, 1)}) if n else frozenset()
+        with pytest.raises(InconsistentDiagram, match="is not an integer >= 1"):
+            UpperDiagram(n, arcs)
+
+    @pytest.mark.parametrize("n, arcs, message", [
+        (1, {Arc(1, 2)}, "vertex 2 out of range"),
+        (1, {Arc(0, 1)}, "vertex 0 out of range"),
+        (1, {Arc(1, -1)}, "runs right to left"),
+        (2, {Arc(1, 2), Arc(2, 2)}, "two arcs end at 2"),
+        (2, {Arc(1, 1)}, "expected 2 arcs, got 1"),
+    ])
+    def test_malformed_arcs_rejected(self, n, arcs, message):
+        with pytest.raises(InconsistentDiagram, match=message):
+            UpperDiagram(n, frozenset(arcs))
+
 
 class TestReconstruction:
     def test_example_one_inverts(self):
@@ -154,6 +174,14 @@ class TestReconstruction:
         # transient 1 leaves magnitude 2 with no start
         with pytest.raises(InconsistentDiagram):
             permutation_from_upper(UpperDiagram(2, frozenset({Arc(-1, 1), Arc(1, 2)})))
+        # magnitude 1 starts no arc: both start at magnitude 2
+        with pytest.raises(InconsistentDiagram, match="no arc starts at 1 or -1"):
+            permutation_from_upper(UpperDiagram(2, frozenset({Arc(-2, -1), Arc(2, 2)})))
+
+    def test_magnitude_collision_rejected(self):
+        # both arcs end at magnitude 1, so the one-line form reads (1, 1)
+        with pytest.raises(InconsistentDiagram, match="magnitudes must be 1..2"):
+            permutation_from_upper(UpperDiagram(2, frozenset({Arc(1, 1), Arc(-2, -1)})))
 
 
 class TestDegreeSequence:
@@ -168,8 +196,15 @@ class TestDegreeSequence:
         assert vertex_kind(d, 3) is VertexKind.FIXED
         assert vertex_kind(d, 4) is VertexKind.TRANSIENT
         assert vertex_kind(d, -1) is VertexKind.CLOSER   # takes the arc from -5
+        assert vertex_kind(d, -6) is VertexKind.OPENER   # starts the arc to 2
         for v in (-4, -3):
             assert vertex_kind(d, v) is VertexKind.ISOLATED
+
+    @pytest.mark.parametrize("v", [0, 3, -3, 5, True, 1.5])
+    def test_kind_of_a_missing_vertex_rejected(self, v):
+        # 0 and 5 used to read as isolated vertices of rank 2
+        with pytest.raises(IndexOutOfRange):
+            vertex_kind(upper_diagram(identity(2)), v)
 
     def test_totals_are_rank(self):
         for n in range(1, 5):

@@ -31,7 +31,12 @@ from crossnest import (
     wex,
 )
 from crossnest import _kernels, enumeration
-from crossnest.enumeration import BLOCK_ROWS, report_to_json, signed_values_batch
+from crossnest.enumeration import (
+    BLOCK_ROWS,
+    VerificationReport,
+    report_to_json,
+    signed_values_batch,
+)
 from crossnest.errors import RankTooLarge, RepeatedStatistic, UnknownMap, UnknownStatistic
 
 
@@ -234,6 +239,15 @@ class TestPairSymmetry:
         payload = json.loads(report_to_json(report))
         assert payload["claim"] == "thm24"
         assert "elapsed" not in payload
+
+    def test_verdict_follows_the_counterexamples(self):
+        assert VerificationReport("thm24", {}).passed
+        report = VerificationReport("thm24", {}, counterexamples=[{"n": 1}])
+        assert not report.passed
+        assert list(report.to_json_obj()) == [
+            "claim", "parameters", "passed", "counterexamples", "info"]
+        with pytest.raises(TypeError):
+            VerificationReport("thm24", {}, passed=True)
 
 
 class TestChainSymmetry:

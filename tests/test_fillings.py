@@ -136,6 +136,13 @@ class TestXi:
         with pytest.raises(RowColumnSumViolation):
             YoungFilling((2, 2), frozenset({(1, 1), (1, 2)}))
 
+    def test_diagram_lists_checked(self):
+        ones = frozenset({(1, 1), (2, 2)})
+        with pytest.raises(MissingDiagramLists, match="come together"):
+            YoungFilling((2, 2), ones, openers=(1, 2))
+        with pytest.raises(MissingDiagramLists, match="match the row count"):
+            YoungFilling((2, 2), ones, openers=(1, 2), closers=(2,))
+
 
 class TestPatternSearch:
     def test_example_two_antiidentity(self):
@@ -388,6 +395,16 @@ class TestCountAvoiders:
             border_walks(*case)
         with pytest.raises(InfeasibleSums):
             count_avoiders(*case, 2, I)
+
+    @pytest.mark.parametrize("case, message", [
+        (((), (), ()), "bad shape"),
+        (((1, 2), (1, 1), (1,)), "bad shape"),
+        (((2,), (1, 0), (1, 0)), "one row sum per row"),
+        (((2,), (1,), (1,)), "one column sum per column"),
+    ])
+    def test_malformed_case_rejected(self, case, message):
+        with pytest.raises(InfeasibleSums, match=message):
+            border_walks(*case)
 
     def test_walk_matches_backtracking_on_desk_shapes(self):
         cases = 0
