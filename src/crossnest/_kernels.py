@@ -5,20 +5,23 @@ statistics for each one is the only hot loop in this package.  All four
 kernels read one layout, the int8 arc table of `upper_arcs_batch`, shape
 (P, n, 2), arcs sorted by start within each row; `enumeration` feeds
 them blocks of about `BLOCK_ROWS` rows, so P stays small whatever the
-rank.  The pair statistics take one step per arc, comparing it with
-every later arc at once: a reduction over a (later arcs, P) slice of the
-column-major table.  The chain statistics are DPs over column pairs whose
-inner maximum, over the arcs between a chain's first arc and its last,
-is one slice reduction too.  Nestings read the ends alone, as starts
-rise along the table; crossings also need the type-B join rule,
-`_joined`.  The two involutions map arc tables to
-arc tables that keep every start, and so the start order.  Both read the
-arcs in closing order from `_closing_order`, with each closer's row
-width, the arcs joined by then.  The pair involution is the rank-mirror
-scan of `involution`, one closer per row at each of n steps.  The chain
-involution is the growth-diagram map of `fillings`: Fomin's local rules,
-one cell of the n x n grid at a time, on the labels of that cell's
-corners for every row.
+rank.  A table is stored column-major: `arcs.T` is a contiguous
+(2, n, P) array, whose row [k, a] holds the start (k = 0) or end of arc
+a in every row; the maps' images keep that layout.  `_sort_columns`, a
+sorting network over such rows, is the kernels' one sort.  The pair
+statistics take one step per arc, comparing it with every later arc at
+once: a reduction over a (later arcs, P) slice of the table.  The chain
+statistics are DPs over column pairs whose inner maximum, over the arcs
+between a chain's first arc and its last, is one slice reduction too.
+Nestings read the ends alone, as starts rise along the table; crossings
+also need the type-B join rule, `_joined`.  The two involutions map arc
+tables to arc tables that keep every start, and so the start order.
+Both read the arcs in closing order from `_closing_order`, with each
+closer's row width, the arcs joined by then.  The pair involution is the
+rank-mirror scan of `involution`, one closer per row at each of n steps.
+The chain involution is the growth-diagram map of `fillings`: Fomin's
+local rules, one cell of the n x n grid at a time, on the labels of that
+cell's corners for every row.
 
 The patience sorting and the subset brute-force oracles in `statistics`,
 and the scalar `involution.crossing_nesting_involution` and
@@ -33,27 +36,35 @@ import numpy as np
 from .errors import Desynchronized, InconsistentGrowth, RankTooLarge
 
 
+def _sort_columns(keys: np.ndarray) -> np.ndarray:
+    """Sort an (n, ...) array along axis 0 in place and return it: an odd-even
+    transposition network, whose n rounds each compare-exchange the pairs
+    (0,1), (2,3), ... or (1,2), (3,4), ... of every column at once."""
+    n = len(keys)
+    for r in range(n):
+        lo, hi = keys[r % 2:n - 1:2], keys[r % 2 + 1:n:2]
+        lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
+    return keys
+
+
 def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
     """int8 arc tables for a batch of one-line arrays, sorted by start.
 
-    Magnitude i opens its arc at -i or at i, so each row opens exactly n
-    of the 2n vertex columns, and reading a row's open columns left to
-    right lists its arcs in start order, with no sort.  A rank above 127,
-    whose vertices int8 cannot hold, raises RankTooLarge.
+    Magnitude i opens its arc at i when s(i) >= i and at -i otherwise, so
+    its arc is sign * (i, s(i)).  Each arc is packed into the int16 key
+    start << 8 | end and the keys are sorted column by column; starts are
+    distinct, so the keys sort by start.  A rank above 127, whose vertices
+    int8 cannot hold, raises RankTooLarge.
     """
     p, n = np.shape(values)
     if n > 127:
         raise RankTooLarge(f"rank {n} does not fit int8 arc tables (at most 127)")
-    values = np.asarray(values, dtype=np.int8)
-    idx = np.arange(1, n + 1, dtype=np.int8)
-    keep = values >= idx
-    # columns 0..2n-1 are the vertices -n..-1, 1..n in natural order
-    opens = np.concatenate([~keep[:, ::-1], keep], axis=1)
-    line = np.empty((p, 2 * n, 2), dtype=np.int8)   # the arc opening each column
-    line[:, :, 0] = np.concatenate([-idx[::-1], idx])
-    line[:, :n, 1] = -values[:, ::-1]
-    line[:, n:, 1] = values
-    return line.reshape(-1, 2).take(np.flatnonzero(opens), axis=0).reshape(p, n, 2)
+    V = np.ascontiguousarray(np.transpose(values), dtype=np.int8)
+    idx = np.arange(1, n + 1, dtype=np.int8)[:, None]
+    sign = (V >= idx).view(np.int8) * 2 - 1
+    keys = _sort_columns((sign * idx).astype(np.int16) << 8 | (sign * V).view(np.uint8))
+    table = np.stack([(keys >> 8).astype(np.int8), keys.astype(np.int8)])
+    return table.transpose(2, 1, 0)
 
 
 def one_line_batch(arcs: np.ndarray) -> np.ndarray:
@@ -83,9 +94,8 @@ def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
     cro and nes are counted in int8, which holds the n(n-1)/2 pairs up to
     rank 16; a larger rank raises RankTooLarge.
     """
-    # column-major copies: S[a] is the start of arc a in every row
-    S = np.ascontiguousarray(arcs[:, :, 0].T)
-    E = np.ascontiguousarray(arcs[:, :, 1].T)
+    # S[a] is the start of arc a in every row; no copy of a column-major table
+    S, E = np.ascontiguousarray(arcs.T)
     n, p = S.shape
     if n > 16:
         raise RankTooLarge(f"rank {n} overflows the int8 cro/nes counters (at most 16)")
@@ -115,8 +125,7 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
     that ends at g, is one more than the longest fall[h], h < g, with a
     larger end, or 1.
     """
-    S = np.ascontiguousarray(arcs[:, :, 0].T)
-    E = np.ascontiguousarray(arcs[:, :, 1].T)
+    S, E = np.ascontiguousarray(arcs.T)
     n, p = S.shape
     cro_star = np.ones(p, dtype=np.int64)
     run = np.zeros((n, p), dtype=np.int64)
@@ -143,11 +152,13 @@ def _closing_order(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Starts rise along the table, so those are its first width[:, t] arcs;
     read from the largest end down, the widths are `young_shape`'s rows.
     """
-    order = np.argsort(arcs[:, :, 1], axis=1, kind="stable")
-    ends = np.take_along_axis(arcs[:, :, 1], order, axis=1)
-    # one (P, n) comparison per arc, so no (P, n, n) array is built
-    width = sum(_joined(arcs[:, a, None, 0], ends) for a in range(arcs.shape[1]))
-    return order, ends, width
+    S, E = np.ascontiguousarray(arcs.T)
+    # end << 8 | arc index: equal ends keep their arcs' order
+    keys = _sort_columns(E.astype(np.int16) << 8 | np.arange(len(E), dtype=np.int16)[:, None])
+    ends = (keys >> 8).astype(np.int8)
+    # one (n, P) comparison per arc, no (n, n, P) array; counts add up in int8
+    width = sum(_joined(S[a], ends).view(np.int8) for a in range(len(S)))
+    return (keys & 0xFF).astype(np.intp).T, ends.T, width.astype(np.int64).T
 
 
 def _arc_list(arcs: np.ndarray, row: int) -> str:
@@ -169,8 +180,8 @@ def _check_joined(arcs: np.ndarray, error: type[Exception]) -> None:
 def _check_image(arcs: np.ndarray, out: np.ndarray, error: type[Exception]) -> None:
     """Raise `error` on the first row whose image's starts or ends are not
     1..n in magnitude; an arc that never closes ends at 0."""
-    magnitudes = np.arange(1, arcs.shape[1] + 1)[:, None]
-    broken = (np.sort(np.abs(out), axis=1) != magnitudes).any(axis=(1, 2))
+    magnitudes = np.arange(1, arcs.shape[1] + 1)[:, None, None]
+    broken = (_sort_columns(np.abs(out).transpose(1, 2, 0)) != magnitudes).any(axis=(0, 1))
     if broken.any():
         row = broken.argmax()
         raise error(f"row {_arc_list(arcs, row)}: image {_arc_list(out, row)} "
@@ -194,7 +205,7 @@ def pair_involution_batch(arcs: np.ndarray) -> np.ndarray:
     p, n = arcs.shape[:2]
     order, ends, width = _closing_order(arcs)
     rows, idx = np.arange(p), np.arange(n)
-    out = arcs.copy()
+    out = arcs.copy(order="K")
     out[:, :, 1] = 0                  # an image arc ends at 0 until it closes
     for t in range(n):
         b, end = order[:, t], ends[:, t]
@@ -285,7 +296,7 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
             labels[r, c] = _forward_rule(labels[r - 1, c - 1], labels[r - 1, c],
                                          labels[r, c - 1], column[:, r - 1] == c)
     labels[n] = _conjugate(labels[n])
-    out = arcs.copy()
+    out = arcs.copy(order="K")
     out[:, :, 1] = 0                  # an image arc ends at 0 until it closes
     for r in range(n - 1, -1, -1):
         labels[r] = _conjugate(labels[r])

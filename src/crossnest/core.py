@@ -131,6 +131,8 @@ class UpperDiagram:
         ends: set[int] = set()
         for a in self.arcs:
             for v in a:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise InconsistentDiagram(f"vertex {v!r} is not an integer")
                 if v == 0 or abs(v) > self.n:
                     raise InconsistentDiagram(f"vertex {v} out of range for n={self.n}")
             if a.start > a.end:

@@ -3,12 +3,12 @@
 `stat_table` holds every statistic of every permutation of a rank, from
 the object-level functions and the brute-force chain searches; the tests
 check the array kernels and the sweep against it.  `argsort_arcs` builds
-the arc tables by sorting each row's arcs by start, the way the sort-free
-`_kernels.upper_arcs_batch` must order them.  The filling oracles
-share no code with the growth diagrams: a longest-chain DP over the
-filled cells, and a row-by-row backtracking count of the fillings that
-avoid a pattern.  The tests check the border labels and the border-walk
-count of `crossnest.fillings` against them.
+the arc tables by an argsort of each row's starts, the order that the
+sorting network of `_kernels.upper_arcs_batch` must reproduce.  The
+filling oracles share no code with the growth diagrams: a longest-chain
+DP over the filled cells, and a row-by-row backtracking count of the
+fillings that avoid a pattern.  The tests check the border labels and
+the border-walk count of `crossnest.fillings` against them.
 """
 
 import functools

@@ -142,6 +142,10 @@ class TestUpperDiagram:
         (1, {Arc(1, -1)}, "runs right to left"),
         (2, {Arc(1, 2), Arc(2, 2)}, "two arcs end at 2"),
         (2, {Arc(1, 1)}, "expected 2 arcs, got 1"),
+        # permutation_from_upper used to raise MalformedToken on this one
+        (1, {Arc(1.0, 1.0)}, r"vertex 1\.0 is not an integer"),
+        # max_chain_sizes used to return (1, 1) for this one
+        (2, {Arc(True, 2), Arc(-2, -1)}, "vertex True is not an integer"),
     ])
     def test_malformed_arcs_rejected(self, n, arcs, message):
         with pytest.raises(InconsistentDiagram, match=message):

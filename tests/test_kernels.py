@@ -109,6 +109,53 @@ def test_closing_order_reads_each_rows_filling(n):
         assert sorted(xi(d).ones) == list(enumerate((c + 1 for c in o[::-1]), start=1))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 127])
+def test_sort_columns_matches_np_sort(n):
+    # keys from a narrow range repeat within a column; both signs occur
+    rng = np.random.default_rng(n)
+    for low, high in ((-3, 3), (-32768, 32767)):
+        keys = rng.integers(low, high, size=(n, 257), endpoint=True).astype(np.int16)
+        want = np.sort(keys, axis=0)
+        assert K._sort_columns(keys) is keys
+        assert np.array_equal(keys, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_closing_order_matches_stable_argsort(n):
+    # ends drawn from a few vertices repeat, as in broken tables; a stable
+    # argsort breaks the ties by arc index
+    rng = np.random.default_rng(100 + n)
+    arcs = rng.integers(-n, n, size=(513, n, 2), endpoint=True).astype(np.int8)
+    arcs[:, :, 1] = rng.integers(-2, 2, size=(513, n), endpoint=True)
+    order, ends, width = K._closing_order(arcs)
+    want = np.argsort(arcs[:, :, 1], axis=1, kind="stable")
+    assert order.dtype == want.dtype and np.array_equal(order, want)
+    assert ends.dtype == np.int8
+    assert np.array_equal(ends, np.take_along_axis(arcs[:, :, 1], want, axis=1))
+    joined = K._joined(arcs[:, None, :, 0], ends[:, :, None])
+    assert width.dtype == np.int64 and np.array_equal(width, joined.sum(axis=2))
+
+
+def test_arc_tables_are_column_major(monkeypatch):
+    # a table is a contiguous (2, n, P) array seen through a transpose, and
+    # the maps' images keep that layout, so the kernels read it with no copy
+    arcs = K.upper_arcs_batch(signed_values_batch(5))
+    for table in (arcs, K.pair_involution_batch(arcs), K.theta_batch(arcs)):
+        assert table.shape == arcs.shape and table.dtype == np.int8
+        assert table.T.flags.c_contiguous and table[:, :, 0].T.flags.c_contiguous
+    copies = []
+    real = np.ascontiguousarray
+
+    def counted(a, *args, **kwargs):
+        got = real(a, *args, **kwargs)
+        copies.append(got is not a)
+        return got
+
+    monkeypatch.setattr(K.np, "ascontiguousarray", counted)
+    K.pair_stats_batch(arcs)
+    assert copies == [False]
+
+
 def images(kernel, n):
     """One-line arrays of the kernel's images of all rank-n rows; each
     image must be the int8 table of its one-line array."""
