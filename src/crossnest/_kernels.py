@@ -18,7 +18,8 @@ also need the type-B join rule, `_joined`.  The two involutions map arc
 tables to arc tables that keep every start, and so the start order.
 Both read the arcs in closing order from `_closing_order`, with each
 closer's row width, the arcs joined by then.  The pair involution is the
-rank-mirror scan of `involution`, one closer per row at each of n steps.
+rank-mirror scan of `involution`, one closer per row at each of n steps;
+each step is a few int8 reductions over the (n, P) rows of the table.
 The chain involution is the growth-diagram map of `fillings`: Fomin's
 local rules, one cell of the n x n grid at a time, on the labels of that
 cell's corners for every row.
@@ -47,6 +48,12 @@ def _sort_columns(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _check_rank(n: int) -> None:
+    """Raise RankTooLarge past rank 127, whose vertices int8 cannot hold."""
+    if n > 127:
+        raise RankTooLarge(f"rank {n} does not fit int8 arc tables (at most 127)")
+
+
 def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
     """int8 arc tables for a batch of one-line arrays, sorted by start.
 
@@ -57,8 +64,7 @@ def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
     int8 cannot hold, raises RankTooLarge.
     """
     p, n = np.shape(values)
-    if n > 127:
-        raise RankTooLarge(f"rank {n} does not fit int8 arc tables (at most 127)")
+    _check_rank(n)
     V = np.ascontiguousarray(np.transpose(values), dtype=np.int8)
     idx = np.arange(1, n + 1, dtype=np.int8)[:, None]
     sign = (V >= idx).view(np.int8) * 2 - 1
@@ -193,27 +199,34 @@ def pair_involution_batch(arcs: np.ndarray) -> np.ndarray:
     reference is `involution.crossing_nesting_involution`.
 
     The same rank-mirror scan, one closer per row at each of n steps, in
-    closing order.  The image's open list is a (P, n) mask over the arcs,
-    oldest first: the first width arcs of the table that still end at 0.
-    Closing arc b, the source's open arcs older than b are those a < b
-    that end beyond it; with r of them, the image closes the (k-r)-th
-    oldest of its k open arcs.  A row with an arc that has not joined at
-    its own end, or whose image's starts or ends are not 1..n in
-    magnitude, raises Desynchronized.
+    closing order; each step is a few int8 reductions over the contiguous
+    (n, P) rows of the column-major table.  The image's open list is an
+    (n, P) mask over the arcs, oldest first: the first width arcs of the
+    table that still end at 0.  Closing arc b, the source's open arcs older
+    than b are those a < b that end beyond it; with r of them, the image
+    closes the (k-r)-th oldest of its k open arcs.  A rank above 127 raises
+    RankTooLarge; a row with an arc that has not joined at its own end, or
+    whose image's starts or ends are not 1..n in magnitude, raises
+    Desynchronized.
     """
+    n = arcs.shape[1]
+    _check_rank(n)
     _check_joined(arcs, Desynchronized)
-    p, n = arcs.shape[:2]
     order, ends, width = _closing_order(arcs)
-    rows, idx = np.arange(p), np.arange(n)
+    order, ends, width = order.T.astype(np.int8), ends.T, width.T.astype(np.int8)
+    E = arcs.T[1]
     out = arcs.copy(order="K")
-    out[:, :, 1] = 0                  # an image arc ends at 0 until it closes
+    image = out.T[1]
+    image[...] = 0                    # an image arc ends at 0 until it closes
+    idx = np.arange(n, dtype=np.int8)[:, None]
     for t in range(n):
-        b, end = order[:, t], ends[:, t]
-        r = ((arcs[:, :, 1] > end[:, None]) & (idx < b[:, None])).sum(axis=1)
-        held = (idx < width[:, t, None]) & (out[:, :, 1] == 0)
-        k = held.sum(axis=1)
-        mirror = (held & (held.cumsum(axis=1) == (k - r)[:, None])).argmax(axis=1)
-        out[rows, mirror, 1] = end
+        b, end = order[t], ends[t]
+        r = ((E > end) & (idx < b)).sum(axis=0, dtype=np.int8)
+        held = (idx < width[t]) & (image == 0)
+        hit = held & (held.cumsum(axis=0, dtype=np.int8) == held.sum(axis=0, dtype=np.int8) - r)
+        # a broken row with no held arc of that rank closes arc 0
+        hit[0] |= ~hit.any(axis=0)
+        np.copyto(image, end, where=hit)
     _check_image(arcs, out, Desynchronized)
     return out
 
@@ -280,11 +293,13 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
     row first; a corner (r, c) keeps its conjugated label when
     c >= width(r+1), on or beyond the shape's outer border, and the rules
     rebuild the others right to left, each 1 ending its column's arc at
-    its row's closer.  An arc not joined at its own end, a corner that
-    breaks the backward rules, a box left on the top or left edge, or an
-    image that is not a signed permutation raises InconsistentGrowth.
+    its row's closer.  A rank above 127 raises RankTooLarge; an arc not
+    joined at its own end, a corner that breaks the backward rules, a box
+    left on the top or left edge, or an image that is not a signed
+    permutation raises InconsistentGrowth.
     """
     p, n = arcs.shape[:2]
+    _check_rank(n)
     _check_joined(arcs, InconsistentGrowth)
     order, ends, width = _closing_order(arcs)
     # row r + 1 closes at closers[:, r], its width is width[:, r], and its

@@ -156,6 +156,15 @@ def test_arc_tables_are_column_major(monkeypatch):
     assert copies == [False]
 
 
+def test_pair_involution_batch_keeps_either_layout():
+    # the map writes its image ends through a view, strided on a row-major table
+    arcs = K.upper_arcs_batch(signed_values_batch(5))
+    rows = K.pair_involution_batch(np.ascontiguousarray(arcs))
+    columns = K.pair_involution_batch(arcs)
+    assert np.array_equal(rows, columns)
+    assert rows.flags.c_contiguous and columns.T.flags.c_contiguous
+
+
 def images(kernel, n):
     """One-line arrays of the kernel's images of all rank-n rows; each
     image must be the int8 table of its one-line array."""
@@ -221,12 +230,28 @@ def test_maps_reject_tables_of_no_signed_permutation(kernel, error, arcs, messag
         kernel(table(*arcs))
 
 
+def test_pair_involution_batch_closes_arc_0_when_no_arc_is_held():
+    # closing at -2, arc (-3,-2) has no open image arc to take: the map
+    # closes arc 0 instead, so that arc's image end is overwritten
+    with pytest.raises(Desynchronized,
+                       match=r"image \[\(-2,-1\), \(-3,0\), \(1,1\), \(-3,1\)\] "
+                             "is not a signed permutation"):
+        K.pair_involution_batch(table((-2, 1), (-3, -2), (1, 1), (-3, -1)))
+
+
 def test_int8_tables_reject_larger_ranks():
     # cro and nes wrap in int8 past rank 16, arc vertices past rank 127
     with pytest.raises(RankTooLarge, match="rank 17"):
         K.pair_stats_batch(K.upper_arcs_batch(np.arange(1, 18)[None]))
     with pytest.raises(RankTooLarge, match="rank 128"):
         K.upper_arcs_batch(np.arange(1, 129)[None])
+
+
+@pytest.mark.parametrize("kernel", [K.pair_involution_batch, K.theta_batch])
+def test_maps_reject_tables_past_rank_127(kernel):
+    # no signed permutation has 128 arcs, and int8 counters would wrap
+    with pytest.raises(RankTooLarge, match="rank 128"):
+        kernel(np.ones((1, 128, 2), dtype=np.int8))
 
 
 def test_arc_tables_hold_rank_127():
