@@ -231,8 +231,9 @@ def test_maps_reject_tables_of_no_signed_permutation(kernel, error, arcs, messag
 
 
 def test_pair_involution_batch_closes_arc_0_when_no_arc_is_held():
-    # closing at -2, arc (-3,-2) has no open image arc to take: the map
-    # closes arc 0 instead, so that arc's image end is overwritten
+    # closing at -1, two older arcs end later (r = 2) but the image holds
+    # only two arcs, so none has rank k - r = 0: the map closes arc 0
+    # again, and its image end -2 becomes -1
     with pytest.raises(Desynchronized,
                        match=r"image \[\(-2,-1\), \(-3,0\), \(1,1\), \(-3,1\)\] "
                              "is not a signed permutation"):
