@@ -44,7 +44,6 @@ from .fillings import (
     PatternKind,
     YoungFilling,
     border_walks,
-    count_avoiders,
     growth_diagram,
     growth_involution,
     max_chain_involution,

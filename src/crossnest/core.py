@@ -32,6 +32,16 @@ from .errors import (
 )
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: the one integer test of every input guard."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_vertex(v, n: int) -> None:
+    if not _is_int(v) or v == 0 or abs(v) > n:
+        raise IndexOutOfRange(f"vertex {v} not in [-{n}, {n}] \\ {{0}}")
+
+
 class Arc(NamedTuple):
     """One upper arc.  start <= end always; start == end is a loop."""
 
@@ -57,7 +67,7 @@ class SignedPermutation:
         if not self.values:
             raise RankViolation("a signed permutation has rank at least 1")
         for v in self.values:
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise MalformedToken(f"entry {v!r} is not an integer")
             if v == 0:
                 raise ZeroEntry("0 is not a vertex")
@@ -109,8 +119,7 @@ def vertices(n: int) -> tuple[int, ...]:
 
 def sigma_at(p: SignedPermutation, i: int) -> int:
     """Value of the extended permutation at any vertex of [-n, n]."""
-    if not isinstance(i, int) or isinstance(i, bool) or i == 0 or abs(i) > p.n:
-        raise IndexOutOfRange(f"vertex {i} not in [-{p.n}, {p.n}] \\ {{0}}")
+    _check_vertex(i, p.n)
     if i > 0:
         return p.values[i - 1]
     return -p.values[-i - 1]
@@ -124,14 +133,14 @@ class UpperDiagram:
     arcs: frozenset[Arc]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise InconsistentDiagram(f"rank {self.n!r} is not an integer >= 1")
         object.__setattr__(self, "arcs", frozenset(Arc(*a) for a in self.arcs))
         starts: set[int] = set()
         ends: set[int] = set()
         for a in self.arcs:
             for v in a:
-                if not isinstance(v, int) or isinstance(v, bool):
+                if not _is_int(v):
                     raise InconsistentDiagram(f"vertex {v!r} is not an integer")
                 if v == 0 or abs(v) > self.n:
                     raise InconsistentDiagram(f"vertex {v} out of range for n={self.n}")
@@ -240,8 +249,7 @@ def degree_sequence(x: SignedPermutation | UpperDiagram) -> DegreeSequence:
 
 
 def vertex_kind(d: UpperDiagram, v: int) -> VertexKind:
-    if not isinstance(v, int) or isinstance(v, bool) or v == 0 or abs(v) > d.n:
-        raise IndexOutOfRange(f"vertex {v} not in [-{d.n}, {d.n}] \\ {{0}}")
+    _check_vertex(v, d.n)
     has_out = any(a.start == v for a in d.arcs)
     has_in = any(a.end == v for a in d.arcs)
     if has_out and has_in:

@@ -33,9 +33,9 @@ from typing import Iterator, Literal
 import numpy as np
 
 from . import _kernels
-from .core import DegreeSequence, SignedPermutation
+from .core import DegreeSequence, SignedPermutation, _is_int
 from .errors import RankTooLarge, RepeatedStatistic, UnknownMap, UnknownStatistic
-from .fillings import border_walks
+from .fillings import _avoiders, border_walks
 
 MAX_ENUM_RANK = 8
 
@@ -47,10 +47,6 @@ BLOCK_ROWS = 2 ** 14
 STAT_NAMES = ("nes", "cro", "wex", "neg", "cro_star", "nes_star")
 PAIR_STATS = ("cro", "nes", "wex", "neg")      # pair_stats_batch columns
 CHAIN_STATS = ("cro_star", "nes_star")         # chain_stats_batch columns
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check_rank(n: int) -> None:
@@ -321,9 +317,9 @@ def verify_avoider_symmetry(max_rows: int = 4, max_cols: int = 4,
     shape, over all 0/1 row and column sum prescriptions.
 
     Each (shape, sums) case is walked once: border_walks counts its
-    fillings by both pattern sizes, and every k reads both counts from
-    that table.  Conjugating the walk's labels swaps the two sizes, so
-    their agreement is close to a tautology.  The evidence for Lemma 4.1
+    fillings by both pattern sizes, and `_avoiders` reads both counts
+    for every k from that table.  Conjugating the walk's labels swaps
+    the two sizes, so their agreement is close to a tautology.  The evidence for Lemma 4.1
     is that the walk count equals a row-by-row backtracking search on
     every desk case up to 4x4, which the tests check.
     """
@@ -343,8 +339,7 @@ def verify_avoider_symmetry(max_rows: int = 4, max_cols: int = 4,
                     continue
                 table = border_walks(shape, row_sums, col_sums)
                 for k in ks:
-                    anti = sum(count for (parts, _), count in table.items() if parts < k)
-                    ident = sum(count for (_, first), count in table.items() if first < k)
+                    ident, anti = _avoiders(table, k)
                     checked += 1
                     if ident != anti:
                         bad.append({

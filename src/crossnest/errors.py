@@ -44,16 +44,14 @@ class UnknownMap(CrossNestError, ValueError):
     """The involution suite is asked for a map other than pair and chain."""
 
 
-class UnknownPatternKind(CrossNestError, ValueError):
-    """An avoider count is asked for a pattern kind that is not a PatternKind."""
-
-
 class RepeatedStatistic(CrossNestError, ValueError):
     """A distribution schema names a statistic more than once."""
 
 
 class InfeasibleSums(CrossNestError, ValueError):
-    """Prescribed row/column sums cannot be met by any 0/1 filling."""
+    """A `border_walks` case is malformed: its shape is not a Young shape,
+    or its row/column sums are not 0 or 1 or cannot be met by any 0/1
+    filling."""
 
 
 # --- structural errors --------------------------------------------------

@@ -34,7 +34,8 @@ and a step along an empty row or column stays put.  The walk determines
 the filling, so one walk that carries each label with its running most
 parts (anti-identity) and largest first part (identity) counts the
 fillings by both pattern sizes at once; the avoiders of a size-k
-pattern are the fillings whose size of that kind stays below k.
+pattern are the fillings whose size of that kind stays below k, which
+`_avoiders` reads off that table for both kinds.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .core import (
     Arc,
     SignedPermutation,
     UpperDiagram,
+    _is_int,
     _joined,
     permutation_from_upper,
     upper_diagram,
@@ -59,7 +61,6 @@ from .errors import (
     MalformedToken,
     MissingDiagramLists,
     RowColumnSumViolation,
-    UnknownPatternKind,
 )
 
 Cell = tuple[int, int]        # (row, column), 1-indexed, row 1 on top
@@ -71,6 +72,12 @@ class ShapeData(NamedTuple):
     shape: tuple[int, ...]
     openers: tuple[int, ...]
     closers: tuple[int, ...]
+
+
+def _is_shape(shape: tuple) -> bool:
+    """A Young shape: a nonempty, weakly decreasing tuple of positive ints."""
+    return (bool(shape) and all(_is_int(w) and w > 0 for w in shape)
+            and all(a >= b for a, b in zip(shape, shape[1:])))
 
 
 @dataclass(frozen=True)
@@ -90,14 +97,13 @@ class YoungFilling:
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(self.shape))
         object.__setattr__(self, "ones", frozenset(self.ones))
-        if not self.shape or any(w <= 0 for w in self.shape):
+        if not _is_shape(self.shape):
             raise CellOutsideShape(f"bad shape {self.shape}")
-        if any(a < b for a, b in zip(self.shape, self.shape[1:])):
-            raise CellOutsideShape(f"shape {self.shape} is not weakly decreasing")
         rows_seen: set[int] = set()
         cols_seen: set[int] = set()
         for r, c in self.ones:
-            if not (1 <= r <= len(self.shape)) or not (1 <= c <= self.shape[r - 1]):
+            if not (_is_int(r) and _is_int(c) and 1 <= r <= len(self.shape)
+                    and 1 <= c <= self.shape[r - 1]):
                 raise CellOutsideShape(f"cell ({r},{c}) outside shape {self.shape}")
             if r in rows_seen:
                 raise RowColumnSumViolation(f"two 1s in row {r}")
@@ -314,19 +320,14 @@ def border_walks(
     runs over (label, most parts, largest first part) states.
     """
     shape, row_sums, col_sums = tuple(shape), tuple(row_sums), tuple(col_sums)
-    entries = shape + row_sums + col_sums
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in entries):
-        raise InfeasibleSums(f"shape entries and sums must be integers, got {entries}")
-    if not shape or any(w <= 0 for w in shape) or any(
-        a < b for a, b in zip(shape, shape[1:])
-    ):
+    if not _is_shape(shape):
         raise InfeasibleSums(f"bad shape {shape}")
     if len(row_sums) != len(shape):
         raise InfeasibleSums("one row sum per row")
     if len(col_sums) != shape[0]:
         raise InfeasibleSums("one column sum per column")
-    if any(s not in (0, 1) for s in row_sums + col_sums):
-        raise InfeasibleSums("each row and column sum is 0 or 1")
+    if not all(_is_int(s) and s in (0, 1) for s in row_sums + col_sums):
+        raise InfeasibleSums("each row and column sum is an integer 0 or 1")
     if sum(row_sums) != sum(col_sums):
         raise InfeasibleSums("row and column totals differ")
 
@@ -354,20 +355,9 @@ def border_walks(
     return {(parts, first): count for (_, parts, first), count in walks.items()}
 
 
-def count_avoiders(
-    shape: Sequence[int],
-    row_sums: Sequence[int],
-    col_sums: Sequence[int],
-    k: int,
-    kind: PatternKind,
-) -> int:
-    """Number of 0/1 fillings of the shape with the prescribed row and
-    column sums, each 0 or 1, that contain no pattern of size k: the
-    fillings of border_walks whose size of that kind is below k."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InfeasibleSums(f"pattern size must be an integer of at least 1, got {k!r}")
-    if not isinstance(kind, PatternKind):
-        raise UnknownPatternKind(f"unknown pattern kind {kind!r}; pick a PatternKind")
-    side = 1 if kind is PatternKind.IDENTITY else 0
-    return sum(count for sizes, count in border_walks(shape, row_sums, col_sums).items()
-               if sizes[side] < k)
+def _avoiders(table: dict[tuple[int, int], int], k: int) -> tuple[int, int]:
+    """(identity, anti-identity) avoiders of size k in a `border_walks`
+    table: the fillings whose largest first part, or most parts, is below k."""
+    identity = sum(count for (_, first), count in table.items() if first < k)
+    anti_identity = sum(count for (parts, _), count in table.items() if parts < k)
+    return identity, anti_identity

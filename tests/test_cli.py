@@ -12,7 +12,6 @@ from crossnest import (
     cro,
     cro_star,
     degree_sequence,
-    enumeration,
     fillings,
     neg,
     nes,
@@ -388,12 +387,9 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--n", "9")
         assert code == 2
 
-    def test_streams_the_same_bytes(self, capsys, monkeypatch, tmp_path):
-        def refuse(n):
-            raise AssertionError(f"whole rank {n} built")
-        monkeypatch.setattr(enumeration, "signed_values_batch", refuse)
+    def test_streams_the_same_bytes(self, capsys, small_blocks, tmp_path):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "3")
-        assert code == 0
+        assert code == 0 and small_blocks == [4, 2]
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_3_SHA256
         target = tmp_path / "b3.txt"
         code, out_file, _ = run_cli(capsys, "enumerate", "--n", "3", "--out", str(target))

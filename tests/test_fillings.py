@@ -22,7 +22,6 @@ from crossnest import (
     UpperDiagram,
     YoungFilling,
     border_walks,
-    count_avoiders,
     cro_star,
     cro_star_brute,
     degree_sequence,
@@ -44,14 +43,15 @@ from crossnest import (
 from crossnest import enumeration, fillings
 from crossnest.enumeration import _desk_shapes
 from crossnest.errors import (
+    CellOutsideShape,
     InconsistentGrowth,
     InfeasibleSums,
     MalformedToken,
     MissingDiagramLists,
     RowColumnSumViolation,
-    UnknownPatternKind,
 )
 from crossnest.fillings import (
+    _avoiders,
     backward_rule,
     border_corners,
     filling_to_text,
@@ -73,6 +73,13 @@ def border_sizes(f):
 def pattern_sizes(f):
     """The same pair from the independent longest-chain DP."""
     return max_pattern_size(f.ones, f.shape, J), max_pattern_size(f.ones, f.shape, I)
+
+
+def avoiders(shape, row_sums, col_sums, k, kind):
+    """Fillings of one (shape, sums) case with no pattern of size k of
+    the given kind, read through the one marginal of `border_walks`."""
+    ident, anti = _avoiders(border_walks(shape, row_sums, col_sums), k)
+    return ident if kind is I else anti
 
 
 def desk_cases(max_rows, max_cols):
@@ -135,6 +142,16 @@ class TestXi:
     def test_filling_validation(self):
         with pytest.raises(RowColumnSumViolation):
             YoungFilling((2, 2), frozenset({(1, 1), (1, 2)}))
+
+    @pytest.mark.parametrize("shape, ones", [
+        ((2.0, 2.0), {(1, 1), (2, 2)}),   # was kept and written out as "2.0,2.0"
+        ((True,), {(1, 1)}),              # was kept and written out as "True"
+        ((1,), {(True, 1)}),              # was kept as the cell (1, 1)
+        ((1,), {(1.0, 1)}),               # raised a raw TypeError
+    ])
+    def test_shape_and_cells_must_be_ints(self, shape, ones):
+        with pytest.raises(CellOutsideShape):
+            YoungFilling(shape, frozenset(ones))
 
     def test_diagram_lists_checked(self):
         ones = frozenset({(1, 1), (2, 2)})
@@ -330,60 +347,42 @@ class TestFillingText:
 class TestCountAvoiders:
     def test_two_by_two_unit_sums(self):
         kwargs = dict(shape=(2, 2), row_sums=(1, 1), col_sums=(1, 1), k=2)
-        assert count_avoiders(kind=I, **kwargs) == 1
-        assert count_avoiders(kind=J, **kwargs) == 1
+        assert avoiders(kind=I, **kwargs) == 1
+        assert avoiders(kind=J, **kwargs) == 1
 
     def test_k1_with_any_one_is_zero(self):
         for kind in (I, J):
-            assert count_avoiders((2, 2), (1, 0), (0, 1), 1, kind) == 0
+            assert avoiders((2, 2), (1, 0), (0, 1), 1, kind) == 0
 
     def test_empty_filling_avoids_everything(self):
         for kind in (I, J):
-            assert count_avoiders((2, 2), (0, 0), (0, 0), 1, kind) == 1
+            assert avoiders((2, 2), (0, 0), (0, 0), 1, kind) == 1
 
     def test_three_by_three_matches_pattern_bounds(self):
         # 0/1 matrices of a 3x3 square with unit sums avoiding a full
         # diagonal: all but one of the 6 placements
-        ident = count_avoiders((3, 3, 3), (1, 1, 1), (1, 1, 1), 3, I)
-        anti = count_avoiders((3, 3, 3), (1, 1, 1), (1, 1, 1), 3, J)
+        ident = avoiders((3, 3, 3), (1, 1, 1), (1, 1, 1), 3, I)
+        anti = avoiders((3, 3, 3), (1, 1, 1), (1, 1, 1), 3, J)
         assert ident == anti == 5
 
     def test_infeasible_sums(self):
         with pytest.raises(InfeasibleSums):
-            count_avoiders((2, 2), (1, 1), (1, 0), 2, I)
+            avoiders((2, 2), (1, 1), (1, 0), 2, I)
         with pytest.raises(InfeasibleSums):
-            count_avoiders((2, 1), (0, 2), (1, 1), 2, I)
+            avoiders((2, 1), (0, 2), (1, 1), 2, I)
 
     def test_sum_of_two_is_infeasible(self):
         with pytest.raises(InfeasibleSums):
-            count_avoiders((2, 2), (2, 0), (1, 1), 2, I)
+            avoiders((2, 2), (2, 0), (1, 1), 2, I)
         with pytest.raises(InfeasibleSums):
-            count_avoiders((2, 2), (1, 1), (2, 0), 2, J)
+            avoiders((2, 2), (1, 1), (2, 0), 2, J)
 
     @pytest.mark.parametrize("kind", [I, J])
     def test_square_unit_sums_pinned(self, kind):
         # permutation matrices: Catalan(8) of them avoid a monotone
         # 3-pattern, and 24,792,705 of the 12! avoid a monotone 4-pattern
-        assert count_avoiders((8,) * 8, (1,) * 8, (1,) * 8, 3, kind) == 1430
-        assert count_avoiders((12,) * 12, (1,) * 12, (1,) * 12, 4, kind) == 24_792_705
-
-    @pytest.mark.parametrize("k", [True, 2.5, "2", 0])
-    def test_pattern_size_must_be_a_positive_int(self, monkeypatch, k):
-        # True used to count as k = 1, 2.5 as k = 3, and "2" raised a raw
-        # TypeError from the walk's table
-        def refuse(*case):
-            raise AssertionError(f"border_walks{case}")
-
-        monkeypatch.setattr(fillings, "border_walks", refuse)
-        with pytest.raises(InfeasibleSums, match="pattern size"):
-            count_avoiders((2, 2), (1, 1), (1, 1), k, I)
-
-    def test_kind_must_be_a_pattern_kind(self):
-        # a plain string used to take the anti-identity branch
-        with pytest.raises(UnknownPatternKind):
-            count_avoiders((2, 2), (1, 1), (1, 1), 2, "identity")
-        with pytest.raises(ValueError):
-            count_avoiders((2, 2), (1, 1), (1, 1), 2, None)
+        assert avoiders((8,) * 8, (1,) * 8, (1,) * 8, 3, kind) == 1430
+        assert avoiders((12,) * 12, (1,) * 12, (1,) * 12, 4, kind) == 24_792_705
 
     @pytest.mark.parametrize("case", [
         ((2.7, 2), (1, 1), (1, 1)),     # used to walk the shape (2, 2)
@@ -393,8 +392,6 @@ class TestCountAvoiders:
     def test_non_integer_entries(self, case):
         with pytest.raises(InfeasibleSums):
             border_walks(*case)
-        with pytest.raises(InfeasibleSums):
-            count_avoiders(*case, 2, I)
 
     @pytest.mark.parametrize("case, message", [
         (((), (), ()), "bad shape"),
@@ -411,7 +408,7 @@ class TestCountAvoiders:
         for shape, row_sums, col_sums in desk_cases(4, 4):
             for k, kind in product(range(1, 5), (I, J)):
                 args = (shape, row_sums, col_sums, k, kind)
-                assert count_avoiders(*args) == backtracking_avoiders(*args), args
+                assert avoiders(*args) == backtracking_avoiders(*args), args
                 cases += 1
         assert cases == 19_504
 
@@ -436,14 +433,12 @@ class TestCountAvoiders:
         assert border_walks((2, 2), (1, 1), (1, 1)) == {(1, 2): 2}
 
     def test_marginals_read_parts_then_first_part(self, monkeypatch):
-        # the same for the two counts that read the table
+        # the same for the marginal that reads the table, and its report
         def lopsided(*case):
             return {(1, 3): 1}
 
-        monkeypatch.setattr(fillings, "border_walks", lopsided)
         monkeypatch.setattr(enumeration, "border_walks", lopsided)
-        assert count_avoiders((1,), (1,), (1,), 2, J) == 1
-        assert count_avoiders((1,), (1,), (1,), 2, I) == 0
+        assert _avoiders(lopsided(), 2) == (0, 1)
         report = enumeration.verify_avoider_symmetry(1, 1, ks=(2,))
         assert report.counterexamples == [
             {"shape": [1], "row_sums": list(sums), "col_sums": list(sums), "k": 2,
@@ -458,15 +453,17 @@ class TestCountAvoiders:
             calls.append(case)
             return border_walks(*case)
 
-        def refuse(*args):
-            raise AssertionError(f"count_avoiders{args}")
+        marginals = []
+
+        def read(table, k):
+            marginals.append(k)
+            return _avoiders(table, k)
 
         monkeypatch.setattr(enumeration, "border_walks", counted)
-        monkeypatch.setattr(enumeration, "count_avoiders", refuse, raising=False)
-        monkeypatch.setattr(fillings, "count_avoiders", refuse)
+        monkeypatch.setattr(enumeration, "_avoiders", read)
         report = enumeration.verify_avoider_symmetry(4, 4)
         assert report.passed
-        assert report.info["cases_checked"] == 4_876
+        assert report.info["cases_checked"] == len(marginals) == 4_876
         assert len(calls) == len(set(calls)) == 2_438
 
     def test_staircase_sweep_small(self):
