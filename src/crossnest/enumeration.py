@@ -15,9 +15,9 @@ are checked in the tests against their scalar references,
 Every counting verifier goes through `_sweep`, which streams the rank in
 blocks of about `BLOCK_ROWS` one-line arrays (whole magnitude
 permutations, each with all 2^n sign masks), so memory stays bounded up
-to `MAX_ENUM_RANK`.  A block's columns, which may include the private
-2n-bit `degree` class code, are folded into one mixed-radix integer key
-per row and counted with `np.bincount`; keys are decoded once, at the end.
+to `MAX_ENUM_RANK`, and counts them into one int64 array with an axis per
+column (one may be the private 2n-bit `degree` class code); the symmetry
+checks compare it with two axes swapped, and only `distribution` makes a dict.
 """
 
 from __future__ import annotations
@@ -156,16 +156,15 @@ class DistributionTable:
         return rows
 
 
-def _sweep(n: int, schema: tuple[str, ...]) -> dict[tuple[int, ...], int]:
-    """Count the rank-n rows by their values of the schema's columns,
-    which are statistics from STAT_NAMES or the `degree` class code."""
-    radices = np.array([_stat_radix(n, name) for name in schema], dtype=np.int64)
-    # place values with the first column most significant, so that key
-    # order is the lexicographic order of the tuples
-    places = np.array([radices[i + 1:].prod() for i in range(len(schema))], dtype=np.int64)
+def _sweep(n: int, schema: tuple[str, ...]) -> np.ndarray:
+    """Count the rank-n rows by their values of the schema's columns (from
+    STAT_NAMES, or the `degree` class code) into an int64 array with an axis
+    of length `_stat_radix(n, name)` per column; other values raise ValueError."""
+    _check_rank(n)
+    shape = tuple(_stat_radix(n, name) for name in schema)
     want_pair = not set(schema).isdisjoint(PAIR_STATS)
     want_chain = not set(schema).isdisjoint(CHAIN_STATS)
-    counts = np.zeros(radices.prod(), dtype=np.int64)
+    counts = np.zeros(math.prod(shape), dtype=np.int64)
     for values in _signed_value_blocks(n):
         arcs = _kernels.upper_arcs_batch(values)
         columns = {}
@@ -175,14 +174,11 @@ def _sweep(n: int, schema: tuple[str, ...]) -> dict[tuple[int, ...], int]:
             columns.update(zip(CHAIN_STATS, _kernels.chain_stats_batch(arcs).T))
         if "degree" in schema:
             columns["degree"] = _degree_codes(arcs)
-        keys = np.zeros(len(values), dtype=np.int64)
-        for name, place in zip(schema, places.tolist()):
-            keys += columns[name] * place
-        block = np.bincount(keys)
+        keys = np.ravel_multi_index([columns[name] for name in schema], shape)
+        # an empty schema gives one scalar key for every row
+        block = np.bincount(np.broadcast_to(keys, len(values)))
         counts[:len(block)] += block
-    present = np.flatnonzero(counts)
-    digits = present[:, None] // places % radices
-    return dict(zip(map(tuple, digits.tolist()), counts[present].tolist()))
+    return counts.reshape(shape)
 
 
 def distribution(n: int, schema: tuple[str, ...] = ("nes", "cro", "wex", "neg")) -> DistributionTable:
@@ -196,8 +192,9 @@ def distribution(n: int, schema: tuple[str, ...] = ("nes", "cro", "wex", "neg"))
     if repeated:
         # a JSON row would keep one column per name and drop the repeats
         raise RepeatedStatistic(f"statistics named more than once: {repeated}")
-    _check_rank(n)
-    cells = _sweep(n, schema)
+    counts = _sweep(n, schema)
+    present = counts != 0
+    cells = dict(zip(map(tuple, np.argwhere(present).tolist()), counts[present].tolist()))
     return DistributionTable(schema, cells, sum(cells.values()))
 
 
@@ -216,17 +213,17 @@ class VerificationReport:
         return asdict(self)
 
 
-def _unbalanced(cells: dict[tuple[int, ...], int], i: int, j: int):
-    """(key, count, swapped key, its count) for each key whose count differs
-    from the key with coordinates i and j swapped; keys with count 0 are
-    absent, so each unequal pair is reported once, from the side that exists."""
-    for key, count in sorted(cells.items()):
-        swapped = list(key)
-        swapped[i], swapped[j] = key[j], key[i]
-        swapped = tuple(swapped)
-        other = cells.get(swapped, 0)
-        if other != count and (key < swapped or other == 0):
-            yield key, count, swapped, other
+def _unbalanced(counts: np.ndarray, i: int, j: int):
+    """(key, count, swapped key, its count) for each nonzero cell, in key order,
+    whose count differs from the cell with coordinates i < j swapped; each
+    unequal pair is reported once, from its smaller key or its nonzero side."""
+    mirror = counts.swapaxes(i, j)
+    index = np.ogrid[tuple(slice(size) for size in counts.shape)]
+    hits = (counts != 0) & (counts != mirror) & ((index[i] < index[j]) | (mirror == 0))
+    keys = np.argwhere(hits)
+    swapped = keys.copy()
+    swapped[:, [i, j]] = keys[:, [j, i]]
+    return zip(keys.tolist(), counts[hits].tolist(), swapped.tolist(), mirror[hits].tolist())
 
 
 def verify_pair_symmetry(n_max: int = 5) -> VerificationReport:
@@ -235,14 +232,14 @@ def verify_pair_symmetry(n_max: int = 5) -> VerificationReport:
     _check_rank(n_max)
     bad = []
     for n in range(1, n_max + 1):
-        table = distribution(n, ("nes", "cro", "wex", "neg"))
         bad.extend({
             "n": n,
-            "key": list(key),
+            "key": key,
             "count": count,
-            "swapped_key": list(swapped),
+            "swapped_key": swapped,
             "swapped_count": other,
-        } for key, count, swapped, other in _unbalanced(table.cells, 0, 1))
+        } for key, count, swapped, other in _unbalanced(
+            _sweep(n, ("nes", "cro", "wex", "neg")), 0, 1))
     return VerificationReport(
         claim="thm24",
         parameters={"n_max": n_max, "schema": ["nes", "cro", "wex", "neg"]},
@@ -256,8 +253,8 @@ def verify_chain_symmetry(n_max: int = 4) -> VerificationReport:
     _check_rank(n_max)
     bad = []
     for n in range(1, n_max + 1):
-        cells = _sweep(n, ("degree", "cro_star", "nes_star"))
-        for key, count, swapped, other in _unbalanced(cells, 1, 2):
+        for key, count, swapped, other in _unbalanced(
+                _sweep(n, ("degree", "cro_star", "nes_star")), 1, 2):
             degree, negs = _degree_class(key[0], n)
             bad.append({
                 "n": n,
@@ -284,11 +281,11 @@ def max_crossing_count(n: int) -> int:
     """Number of rank-n permutations whose largest crossing chain uses
     every arc, by enumeration; ranks outside the guard raise RankTooLarge
     because no count beyond it is backed by enumeration or proof."""
-    return distribution(n, ("cro_star",)).count((n,))
+    return int(_sweep(n, ("cro_star",))[n])
 
 
 def verify_max_crossing_counts(n_max: int = 6) -> VerificationReport:
-    """Full-chain counts match 2, 2, 1, 1, ... by enumeration."""
+    """Enumerated full-chain counts compared with the closed form 2, 2, 1, 1, ..."""
     _check_rank(n_max)
     bad = []
     values = []

@@ -138,6 +138,10 @@ class TestDistribution:
         with pytest.raises(UnknownStatistic):
             distribution(2, ("degree",))
 
+    def test_empty_schema_counts_the_rank(self):
+        table = distribution(3, ())
+        assert table.cells == {(): 48} and table.total == 48
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("schema", [
         ("nes", "cro", "wex", "neg"),
@@ -271,12 +275,12 @@ class TestChainSymmetry:
             (str(degree_sequence(p)), *row)
             for p, row in zip(enumerate_bn(n), stat_table(n)[:, columns].tolist())
         )
-        cells = enumeration._sweep(n, ("degree", "cro_star", "nes_star"))
+        counts = enumeration._sweep(n, ("degree", "cro_star", "nes_star"))
         got = {}
-        for (code, cs, ns), count in cells.items():
+        for code, cs, ns in np.argwhere(counts).tolist():
             degree, negs = enumeration._degree_class(code, n)
-            got[(degree, cs, ns, negs)] = count
-        assert len(got) == len(cells)
+            got[(degree, cs, ns, negs)] = int(counts[code, cs, ns])
+        assert len(got) == np.count_nonzero(counts)
         assert got == dict(expected)
 
 
@@ -328,6 +332,54 @@ class TestForcedAsymmetry:
             assert bad["count"] == counts[(bad["n"], *key)]
             assert bad["swapped_count"] == counts[(bad["n"], *swapped)]
         assert report_to_json(report) == report_to_json(verify_pair_symmetry(3))
+
+    def test_pair_kernel_with_both_cells_nonzero(self, monkeypatch):
+        real = _kernels.pair_stats_batch
+
+        def bump(arcs):
+            # nes + 1 where cro > nes + 1 stays in range and leaves many
+            # unequal pairs with both cells nonzero
+            stats = real(arcs).copy()
+            stats[stats[:, 0] > stats[:, 1] + 1, 1] += 1
+            return stats
+
+        monkeypatch.setattr(_kernels, "pair_stats_batch", bump)
+        report = verify_pair_symmetry(4)
+        counts = Counter((p.n, nes(p) + (cro(p) > nes(p) + 1), cro(p), wex(p), neg(p))
+                         for n in range(1, 5) for p in enumerate_bn(n))
+        unequal = set()
+        for (n, ns, cr, wx, ng), count in counts.items():
+            if count != counts[(n, cr, ns, wx, ng)]:
+                unequal.add((n, *sorted([(ns, cr, wx, ng), (cr, ns, wx, ng)])))
+        pairs = [(bad["n"], *sorted([tuple(bad["key"]), tuple(bad["swapped_key"])]))
+                 for bad in report.counterexamples]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == unequal
+        both = [bad for bad in report.counterexamples if bad["count"] and bad["swapped_count"]]
+        assert both
+        for bad in both:
+            assert bad["key"] < bad["swapped_key"]
+        for bad in report.counterexamples:
+            key, swapped = bad["key"], bad["swapped_key"]
+            assert swapped == [key[1], key[0], key[2], key[3]]
+            assert bad["count"] == counts[(bad["n"], *key)]
+            assert bad["swapped_count"] == counts[(bad["n"], *swapped)]
+
+    def test_value_outside_its_radix_raises(self, monkeypatch):
+        real = _kernels.pair_stats_batch
+        identity = _kernels.upper_arcs_batch(signed_values_batch(3)[:1])
+        assert real(identity).tolist() == [[0, 0, 3, 0]]
+
+        def overflow(arcs):
+            # cro = 4 on the rank-3 identity, one past its largest value 3;
+            # a key summed from place values would count it under nes = 1, cro = 0
+            stats = real(arcs).copy()
+            stats[0, 0] = 4
+            return stats
+
+        monkeypatch.setattr(_kernels, "pair_stats_batch", overflow)
+        with pytest.raises(ValueError):
+            distribution(3)
 
 
 class TestMaxCrossingCount:
