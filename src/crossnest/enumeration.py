@@ -7,10 +7,10 @@ built over the full rank (or over one degree-sequence class) and checked
 for symmetry key by key.  The involution property suite is a separate
 claim that applies the maps and confirms their documented behaviour.
 Both maps take one arc table per block of the same stream as `_sweep`
-and return the images' tables, with the statistics compared column by
-column.  The maps, `_kernels.pair_involution_batch` and `theta_batch`,
-are checked in the tests against their scalar references,
-`crossing_nesting_involution` and `max_chain_involution`.
+and return the images' tables, whose `_columns` (the sweep's) must equal
+the source's with the pair swapped.  The maps, `_kernels.pair_involution_batch`
+and `theta_batch`, are checked in the tests against their scalar
+references, `crossing_nesting_involution` and `max_chain_involution`.
 
 Every counting verifier goes through `_sweep`, which streams the rank in
 blocks of about `BLOCK_ROWS` one-line arrays (whole magnitude
@@ -101,10 +101,10 @@ def bn_size(n: int) -> int:
 
 def _stat_radix(n: int, name: str) -> int:
     """One more than the largest value the statistic takes at rank n:
-    cro and nes count arc pairs, the degree code has 2n bits, the others
-    count arcs."""
+    cro and nes count arc pairs, the others count arcs; the degree code's
+    top bit (an arc ending at -n, a loop at a negative vertex) is never set."""
     if name == "degree":
-        return 4 ** n
+        return 2 ** (2 * n - 1)
     return n * (n - 1) // 2 + 1 if name in ("cro", "nes") else n + 1
 
 
@@ -156,25 +156,28 @@ class DistributionTable:
         return rows
 
 
+def _columns(arcs: np.ndarray, names: tuple[str, ...]) -> list[np.ndarray]:
+    """The named columns (from STAT_NAMES, or the `degree` class code) of an
+    arc table, one value per row; each kernel runs at most once."""
+    columns = {}
+    if not set(names).isdisjoint(PAIR_STATS):
+        columns.update(zip(PAIR_STATS, _kernels.pair_stats_batch(arcs).T))
+    if not set(names).isdisjoint(CHAIN_STATS):
+        columns.update(zip(CHAIN_STATS, _kernels.chain_stats_batch(arcs).T))
+    if "degree" in names:
+        columns["degree"] = _degree_codes(arcs)
+    return [columns[name] for name in names]
+
+
 def _sweep(n: int, schema: tuple[str, ...]) -> np.ndarray:
-    """Count the rank-n rows by their values of the schema's columns (from
-    STAT_NAMES, or the `degree` class code) into an int64 array with an axis
-    of length `_stat_radix(n, name)` per column; other values raise ValueError."""
+    """Count the rank-n rows by their `_columns` values into an int64 array
+    with an axis of length `_stat_radix(n, name)` per column; other values
+    raise ValueError."""
     _check_rank(n)
     shape = tuple(_stat_radix(n, name) for name in schema)
-    want_pair = not set(schema).isdisjoint(PAIR_STATS)
-    want_chain = not set(schema).isdisjoint(CHAIN_STATS)
     counts = np.zeros(math.prod(shape), dtype=np.int64)
     for values in _signed_value_blocks(n):
-        arcs = _kernels.upper_arcs_batch(values)
-        columns = {}
-        if want_pair:
-            columns.update(zip(PAIR_STATS, _kernels.pair_stats_batch(arcs).T))
-        if want_chain:
-            columns.update(zip(CHAIN_STATS, _kernels.chain_stats_batch(arcs).T))
-        if "degree" in schema:
-            columns["degree"] = _degree_codes(arcs)
-        keys = np.ravel_multi_index([columns[name] for name in schema], shape)
+        keys = np.ravel_multi_index(_columns(_kernels.upper_arcs_batch(values), schema), shape)
         # an empty schema gives one scalar key for every row
         block = np.bincount(np.broadcast_to(keys, len(values)))
         counts[:len(block)] += block
@@ -361,46 +364,38 @@ def _one_line(row: np.ndarray) -> str:
 
 
 def _map_failures(values: np.ndarray, which: str) -> list[dict]:
-    """Counterexamples of the chosen map on one block of one-line arrays,
-    row by row, each row's in the order swap, wex, neg, degree, involution."""
+    """Counterexamples of the chosen map on one block of one-line arrays, row
+    by row: the image's `_columns` must be the source's with the pair swapped
+    (swap, wex, neg, degree, in that order) and its image the source (involution)."""
     # looked up per call, so that patched or wrapped maps apply
     apply = _kernels.pair_involution_batch if which == "pair" else _kernels.theta_batch
     n = values.shape[1]
+    names = (PAIR_STATS if which == "pair" else CHAIN_STATS)[:2] + ("wex", "neg", "degree")
     arcs = _kernels.upper_arcs_batch(values)
     image = apply(arcs)
     back = apply(image)
-    kept, image_kept = _kernels.pair_stats_batch(arcs), _kernels.pair_stats_batch(image)
-    if which == "pair":
-        before, after = kept, image_kept
-    else:
-        before, after = _kernels.chain_stats_batch(arcs), _kernels.chain_stats_batch(image)
-    degrees, image_degrees = _degree_codes(arcs), _degree_codes(image)
-    failed = np.stack([
-        (after[:, 0] != before[:, 1]) | (after[:, 1] != before[:, 0]),
-        image_kept[:, 2] != kept[:, 2],
-        image_kept[:, 3] != kept[:, 3],
-        degrees != image_degrees,
-        (back != arcs).any(axis=(1, 2)),
-    ], axis=1)
-    rows = np.flatnonzero(failed.any(axis=1))
+    # one row per column, like the arc tables, so each check is a contiguous row
+    was, now = (np.array(_columns(table, names)) for table in (arcs, image))
+    differs = now != was[[1, 0, 2, 3, 4]]
+    failed = np.vstack([differs[0] | differs[1], differs[2:], (back != arcs).any(axis=(1, 2))])
+    rows = np.flatnonzero(failed.any(axis=0))
     if not len(rows):
         return []
     images, twice = _kernels.one_line_batch(image[rows]), _kernels.one_line_batch(back[rows])
     failures = []
     for i, row in enumerate(rows.tolist()):
-        k, ik = kept[row].tolist(), image_kept[row].tolist()
+        before, after = was[:, row].tolist(), now[:, row].tolist()
         fields = (
-            ("statistic_swap", {"before": before[row, :2].tolist(),
-                                "after": after[row, :2].tolist()}),
-            ("wex_preservation", {"before": k[2], "after": ik[2]}),
-            ("neg_preservation", {"before": k[3], "after": ik[3]}),
-            ("degree_preservation", {"before": _degree_class(int(degrees[row]), n)[0],
-                                     "after": _degree_class(int(image_degrees[row]), n)[0]}),
+            ("statistic_swap", {"before": before[:2], "after": after[:2]}),
+            ("wex_preservation", {"before": before[2], "after": after[2]}),
+            ("neg_preservation", {"before": before[3], "after": after[3]}),
+            ("degree_preservation", {"before": _degree_class(before[4], n)[0],
+                                     "after": _degree_class(after[4], n)[0]}),
             ("involution", {"image": _one_line(images[i]), "twice": _one_line(twice[i])}),
         )
         perm = _one_line(values[row])
         failures.extend({"permutation": perm, "failure": kind, **rest}
-                        for (kind, rest), hit in zip(fields, failed[row].tolist()) if hit)
+                        for (kind, rest), hit in zip(fields, failed[:, row].tolist()) if hit)
     return failures
 
 

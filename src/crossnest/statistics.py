@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .core import Arc, SignedPermutation, UpperDiagram, _as_diagram, _joined
-from .errors import SameArc
+from .errors import InconsistentDiagram, SameArc
 
 
 class PairKind(Enum):
@@ -41,7 +41,8 @@ class PairKind(Enum):
 
 
 def classify_pair(a: Arc, b: Arc) -> PairKind:
-    """Classify two distinct arcs of one diagram.
+    """Classify two distinct arcs of one diagram; arcs that share a start
+    or an end belong to no diagram and raise InconsistentDiagram.
 
     Arcs are compared after ordering by start.  The later arc lines up
     with the earlier one unless it has joined by the earlier one's end;
@@ -53,14 +54,13 @@ def classify_pair(a: Arc, b: Arc) -> PairKind:
     first, second = sorted((Arc(*a), Arc(*b)))
     u1, v1 = first
     u2, v2 = second
+    if u1 == u2 or v1 == v2:
+        raise InconsistentDiagram(f"arcs {first} and {second} share a start or an end")
     if not _joined(u2, v1):
         return PairKind.ALIGNMENT
     if v2 < v1:
         return PairKind.SKEW_NESTING if second.is_loop else PairKind.PROPER_NESTING
-    if v2 > v1:
-        return PairKind.SKEW_CROSSING if u2 == v1 else PairKind.PROPER_CROSSING
-    # v1 == v2 cannot happen inside one diagram (indegree <= 1)
-    return PairKind.ALIGNMENT
+    return PairKind.SKEW_CROSSING if u2 == v1 else PairKind.PROPER_CROSSING
 
 
 def pair_kind_counts(x: SignedPermutation | UpperDiagram) -> dict[PairKind, int]:

@@ -73,6 +73,10 @@ class TestParsing:
     def test_round_trip_text(self):
         assert str(parse_permutation(EX1)) == EX1
 
+    def test_iterates_over_values(self):
+        p = parse_permutation(EX1)
+        assert list(p) == list(p.values)
+
     def test_empty(self):
         with pytest.raises(MalformedToken):
             parse_permutation("")

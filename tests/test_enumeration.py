@@ -284,6 +284,12 @@ class TestChainSymmetry:
         assert got == dict(expected)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_degree_axis_ends_at_the_largest_code(self, n):
+        # every magnitude starts its arc at -m and all but n end one there
+        assert enumeration._sweep(n, ("degree",))[-1] == 1
+
+
 def class_counts(n_max, key):
     counts = Counter()
     for n in range(1, n_max + 1):

@@ -267,6 +267,12 @@ class TestSteps:
         with pytest.raises(InconsistentGrowth):
             backward_rule((1,), (1, 1), (1,))   # a label outside its corner
 
+    def test_box_left_on_an_edge_rejected(self, monkeypatch):
+        # a backward rule that only copies labels leaves boxes on the left edge
+        monkeypatch.setattr(fillings, "backward_rule", lambda rho, mu, nu: (mu, False))
+        with pytest.raises(InconsistentGrowth, match="top or left edge"):
+            growth_involution(YoungFilling((2, 2), frozenset({(2, 1), (1, 2)})))
+
     def test_moves_preserve_sums(self):
         f = xi(UpperDiagram(6, EX2_UPPER))
         g = growth_involution(f)

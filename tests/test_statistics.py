@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,7 @@ from crossnest import (
     parse_permutation,
     upper_diagram,
 )
-from crossnest.errors import SameArc
+from crossnest.errors import InconsistentDiagram, SameArc
 
 
 class TestClassifyPair:
@@ -52,6 +53,15 @@ class TestClassifyPair:
     def test_same_arc_rejected(self):
         with pytest.raises(SameArc):
             classify_pair(Arc(1, 2), Arc(1, 2))
+
+    @pytest.mark.parametrize("a, b", [
+        (Arc(1, 3), Arc(2, 3)),
+        (Arc(1, 3), Arc(1, 4)),
+        (Arc(2, 2), Arc(2, 3)),     # a loop and an arc leaving its vertex
+    ], ids=["shared-end", "shared-start", "loop-start"])
+    def test_shared_start_or_end_rejected(self, a, b):
+        with pytest.raises(InconsistentDiagram, match=re.escape(f"arcs {a} and {b} share")):
+            classify_pair(a, b)
 
     def test_argument_order_irrelevant(self):
         a, b = Arc(-2, 6), Arc(3, 3)
