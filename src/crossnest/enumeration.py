@@ -8,9 +8,13 @@ for symmetry key by key.  The involution property suite is a separate
 claim that applies the maps and confirms their documented behaviour.
 Both maps take one arc table per block of the same stream as `_sweep`
 and return the images' tables, whose `_columns` (the sweep's) must equal
-the source's with the pair swapped.  The maps, `_kernels.pair_involution_batch`
-and `theta_batch`, are checked in the tests against their scalar
-references, `crossing_nesting_involution` and `max_chain_involution`.
+the source's with the pair swapped.  Each map runs once per row: every
+image is a row of the same rank, so `_stream_index`, the inverse of the
+stream's order, records each image's position, and the map is an
+involution on the rank exactly when every row is its image's image.
+The maps, `_kernels.pair_involution_batch` and `theta_batch`, are
+checked in the tests against their scalar references,
+`crossing_nesting_involution` and `max_chain_involution`.
 
 Every counting verifier goes through `_sweep`, which streams the rank in
 blocks of about `BLOCK_ROWS` one-line arrays (whole magnitude
@@ -56,18 +60,44 @@ def _check_rank(n: int) -> None:
         )
 
 
+def _signs(masks: np.ndarray, n: int) -> np.ndarray:
+    """The +-1 factor of each position for each sign mask; bit j of the
+    mask flips position j+1."""
+    return 1 - 2 * ((masks[..., None] >> np.arange(n)) & 1)
+
+
 def _signed_rows(mags: np.ndarray, n: int) -> np.ndarray:
     """One-line arrays of the given magnitude permutations, each followed
-    by its 2^n sign masks in binary order; bit j of the mask flips
-    position j+1."""
-    masks = np.arange(2 ** n, dtype=np.int64)
-    signs = 1 - 2 * ((masks[:, None] >> np.arange(n)) & 1)
+    by its 2^n sign masks in binary order."""
+    signs = _signs(np.arange(2 ** n, dtype=np.int64), n)
     return (mags[:, None, :] * signs[None, :, :]).reshape(-1, n)
+
+
+def _stream_index(arcs: np.ndarray) -> np.ndarray:
+    """The position in `signed_values_batch(n)` of each row of an arc table,
+    the inverse of `_signed_rows`' order: lexrank(|s|) * 2^n + mask.
+
+    The arc of position |S| has value |E|, negative when S and E differ in
+    sign; its Lehmer digit counts the later positions with smaller values.
+    Positions fit int32 up to `MAX_ENUM_RANK`."""
+    S, E = arcs.T
+    n = len(S)
+    pos, val = np.abs(S), np.abs(E)
+    digits = np.stack([((pos > pos[a]) & (val < val[a])).sum(axis=0, dtype=np.int8)
+                       for a in range(n)])
+    weights = np.array([math.factorial(n - m) << n for m in range(n + 1)], dtype=np.int32)
+    signs = ((S < 0) != (E < 0)).astype(np.int32) << (pos - 1)
+    return (digits * weights[pos] + signs).sum(axis=0)
 
 
 def _magnitudes(n: int) -> np.ndarray:
     _check_rank(n)
     return np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
+
+
+def _stream_rows(n: int, positions: np.ndarray) -> np.ndarray:
+    """The rows at the given positions of `signed_values_batch(n)`."""
+    return _magnitudes(n)[positions >> n] * _signs(positions & (2 ** n - 1), n)
 
 
 def signed_values_batch(n: int) -> np.ndarray:
@@ -112,8 +142,11 @@ def _degree_codes(arcs: np.ndarray) -> np.ndarray:
     """Degree-sequence class code per row: bit m-1 when the arc of magnitude
     m starts at -m, bit n+m-1 when an arc ends at -m; each magnitude starts
     one arc and ends one, so the bits fix all 2n (in, out) degrees."""
-    n = arcs.shape[1]
-    return ((arcs < 0) << (np.abs(arcs) - 1 + np.array([0, n]))).sum(axis=(1, 2))
+    S, E = arcs.T
+    n = len(S)
+    # int32 holds the 2n - 1 bits up to rank 16
+    return (((S < 0).astype(np.int32) << (np.abs(S) - 1))
+            + ((E < 0).astype(np.int32) << (np.abs(E) + (n - 1)))).sum(axis=0)
 
 
 def _degree_class(code: int, n: int) -> tuple[str, int]:
@@ -363,27 +396,19 @@ def _one_line(row: np.ndarray) -> str:
     return ",".join(map(str, row.tolist()))
 
 
-def _map_failures(values: np.ndarray, which: str) -> list[dict]:
-    """Counterexamples of the chosen map on one block of one-line arrays, row
-    by row: the image's `_columns` must be the source's with the pair swapped
-    (swap, wex, neg, degree, in that order) and its image the source (involution)."""
-    # looked up per call, so that patched or wrapped maps apply
-    apply = _kernels.pair_involution_batch if which == "pair" else _kernels.theta_batch
+def _statistic_failures(values: np.ndarray, arcs: np.ndarray, image: np.ndarray,
+                        which: str) -> dict[int, list[dict]]:
+    """Counterexamples of the chosen map on one block of one-line arrays, by
+    row: the image's `_columns` must be the source's with the pair swapped
+    (swap, wex, neg, degree, in that order)."""
     n = values.shape[1]
     names = (PAIR_STATS if which == "pair" else CHAIN_STATS)[:2] + ("wex", "neg", "degree")
-    arcs = _kernels.upper_arcs_batch(values)
-    image = apply(arcs)
-    back = apply(image)
     # one row per column, like the arc tables, so each check is a contiguous row
     was, now = (np.array(_columns(table, names)) for table in (arcs, image))
     differs = now != was[[1, 0, 2, 3, 4]]
-    failed = np.vstack([differs[0] | differs[1], differs[2:], (back != arcs).any(axis=(1, 2))])
-    rows = np.flatnonzero(failed.any(axis=0))
-    if not len(rows):
-        return []
-    images, twice = _kernels.one_line_batch(image[rows]), _kernels.one_line_batch(back[rows])
-    failures = []
-    for i, row in enumerate(rows.tolist()):
+    failed = np.vstack([differs[0] | differs[1], differs[2:]])
+    failures = {}
+    for row in np.flatnonzero(failed.any(axis=0)).tolist():
         before, after = was[:, row].tolist(), now[:, row].tolist()
         fields = (
             ("statistic_swap", {"before": before[:2], "after": after[:2]}),
@@ -391,12 +416,29 @@ def _map_failures(values: np.ndarray, which: str) -> list[dict]:
             ("neg_preservation", {"before": before[3], "after": after[3]}),
             ("degree_preservation", {"before": _degree_class(before[4], n)[0],
                                      "after": _degree_class(after[4], n)[0]}),
-            ("involution", {"image": _one_line(images[i]), "twice": _one_line(twice[i])}),
         )
         perm = _one_line(values[row])
-        failures.extend({"permutation": perm, "failure": kind, **rest}
-                        for (kind, rest), hit in zip(fields, failed[:, row].tolist()) if hit)
+        failures[row] = [{"permutation": perm, "failure": kind, **rest}
+                         for (kind, rest), hit in zip(fields, failed[:, row].tolist()) if hit]
     return failures
+
+
+def _rank_failures(n: int, image_at: np.ndarray, failures: dict[int, list[dict]]) -> list[dict]:
+    """The rank's counterexamples in stream order, given each row's image as
+    its stream position and the statistic failures by position: a row i
+    whose image's image is not i also fails involution, with the rows at
+    image_at[i] and image_at[image_at[i]] as its image and its image's image."""
+    # slices of 2^16 rows, so the check holds no temporary as long as the rank
+    for lo in range(0, len(image_at), 2 ** 16):
+        images = image_at[lo:lo + 2 ** 16]
+        lost = np.flatnonzero(image_at[images] != np.arange(lo, lo + len(images))) + lo
+        if len(lost):
+            rows = (lost, image_at[lost], image_at[image_at[lost]])
+            texts = [list(map(_one_line, _stream_rows(n, at))) for at in rows]
+            for i, perm, image, twice in zip(lost.tolist(), *texts):
+                failures.setdefault(i, []).append({"permutation": perm, "failure": "involution",
+                                                   "image": image, "twice": twice})
+    return [record for i in sorted(failures) for record in failures[i]]
 
 
 def verify_involution_properties(
@@ -405,16 +447,32 @@ def verify_involution_properties(
     """Apply the chosen map to every permutation of every rank up to
     n_max and confirm swap, preservation and involutivity.  Failures are
     reported; a map that loses its own bookkeeping raises (Desynchronized,
-    InconsistentGrowth); any map but "pair" or "chain" raises UnknownMap."""
+    InconsistentGrowth); any map but "pair" or "chain" raises UnknownMap.
+
+    The map runs once per row.  Every image is a row of the same rank, so
+    the map is an involution on the rank exactly when each row's image's
+    image is the row; each rank keeps its images' stream positions for
+    that, one int32 per row (41 MB at rank 8)."""
     if which not in ("pair", "chain"):
         raise UnknownMap(f"unknown map {which!r}; pick pair or chain")
     _check_rank(n_max)
+    # looked up per call, so that patched or wrapped maps apply
+    apply = _kernels.pair_involution_batch if which == "pair" else _kernels.theta_batch
     bad = []
     count = 0
     for n in range(1, n_max + 1):
+        image_at = np.empty(bn_size(n), dtype=np.int32)
+        failures = {}
+        lo = 0
         for values in _signed_value_blocks(n):
-            count += len(values)
-            bad.extend(_map_failures(values, which))
+            arcs = _kernels.upper_arcs_batch(values)
+            image = apply(arcs)
+            image_at[lo:lo + len(values)] = _stream_index(image)
+            failures.update((lo + row, records) for row, records
+                            in _statistic_failures(values, arcs, image, which).items())
+            lo += len(values)
+        count += lo
+        bad.extend(_rank_failures(n, image_at, failures))
     return VerificationReport(
         claim="involutions",
         parameters={"n_max": n_max, "map": which},

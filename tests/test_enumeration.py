@@ -13,9 +13,11 @@ from crossnest import (
     bn_size,
     cro,
     cro_star,
+    crossing_nesting_involution,
     degree_sequence,
     distribution,
     enumerate_bn,
+    max_chain_involution,
     max_chain_sizes,
     max_crossing_count,
     max_crossing_witness,
@@ -90,6 +92,26 @@ class TestEnumeration:
         blocks = list(enumeration._signed_value_blocks(n))
         assert all(len(b) <= max(BLOCK_ROWS, 2 ** n) for b in blocks)
         assert (np.concatenate(blocks) == signed_values_batch(n)).all()
+
+
+class TestStreamIndex:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_index_is_the_stream_position(self, n):
+        values = signed_values_batch(n)
+        index = enumeration._stream_index(_kernels.upper_arcs_batch(values))
+        assert np.array_equal(index, np.arange(len(values)))
+        assert np.array_equal(enumeration._stream_rows(n, index), values)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_index_of_both_maps_images(self, n):
+        values = signed_values_batch(n)
+        position = {row: i for i, row in enumerate(map(tuple, values.tolist()))}
+        arcs = _kernels.upper_arcs_batch(values)
+        for apply in (_kernels.pair_involution_batch, _kernels.theta_batch):
+            image = apply(arcs)
+            lines = map(tuple, _kernels.one_line_batch(image).tolist())
+            expected = [position[row] for row in lines]
+            assert enumeration._stream_index(image).tolist() == expected
 
 
 class TestDistribution:
@@ -478,6 +500,66 @@ class TestInvolutionSuite:
             calls.clear()
             assert verify_involution_properties(6, which).passed
             assert calls == blocks
+
+    @pytest.mark.parametrize("which,name", [("pair", "pair_involution_batch"),
+                                            ("chain", "theta_batch")])
+    def test_map_runs_once_per_block(self, monkeypatch, which, name):
+        # involutivity is read from the rank's images, not a second call
+        calls = []
+        apply = getattr(_kernels, name)
+
+        def counted(arcs):
+            calls.append(len(arcs))
+            return apply(arcs)
+
+        monkeypatch.setattr(_kernels, name, counted)
+        assert verify_involution_properties(6, which).passed
+        assert calls == [len(values) for n in range(1, 7)
+                         for values in enumeration._signed_value_blocks(n)]
+
+    @pytest.mark.parametrize("which", ["pair", "chain"])
+    def test_two_swapped_images_fail_involution(self, monkeypatch, which):
+        # the map with the images of two rank-4 rows exchanged is no longer
+        # an involution on those rows nor on their true images
+        name, scalar, swapped = {
+            "pair": ("pair_involution_batch", crossing_nesting_involution,
+                     lambda p: (cro(p), nes(p))),
+            "chain": ("theta_batch", max_chain_involution, max_chain_sizes),
+        }[which]
+        a, b = (SignedPermutation(tuple(row)) for row in signed_values_batch(4)[[5, 200]].tolist())
+        assert scalar(a) != b
+        other = {a: scalar(b), b: scalar(a)}
+        real = getattr(_kernels, name)
+
+        def swap_two(arcs):
+            out = real(arcs)
+            lines = list(map(tuple, _kernels.one_line_batch(arcs).tolist()))
+            if a.values in lines and b.values in lines:
+                i, j = lines.index(a.values), lines.index(b.values)
+                out[[i, j]] = out[[j, i]]
+            return out
+
+        def apply(p):
+            return other[p] if p in other else scalar(p)
+
+        monkeypatch.setattr(_kernels, name, swap_two)
+        report = verify_involution_properties(4, which)
+        expected = [record for n in range(1, 5) for p in enumerate_bn(n)
+                    for record in map_records(p, apply, swapped)]
+        assert {c["permutation"] for c in report.counterexamples
+                if c["failure"] == "involution"} == {str(p) for p in (a, b, scalar(a), scalar(b))}
+        assert report.counterexamples == expected
+
+    def test_involution_check_reads_every_slice(self):
+        # a 3-cycle past the first 2^16 rows of rank 7, with its rows' images
+        # and their images in stream order
+        image_at = np.arange(bn_size(7), dtype=np.int32)
+        cycle = [70_000, 70_001, 500_000]
+        image_at[cycle] = cycle[1:] + cycle[:1]
+        rows = [",".join(map(str, row)) for row in signed_values_batch(7)[cycle].tolist()]
+        assert enumeration._rank_failures(7, image_at, {}) == [
+            {"permutation": rows[i], "failure": "involution",
+             "image": rows[(i + 1) % 3], "twice": rows[(i + 2) % 3]} for i in range(3)]
 
     def test_unknown_map_rejected(self, monkeypatch):
         # the map is rejected before any block is enumerated
