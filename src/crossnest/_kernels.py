@@ -16,13 +16,13 @@ between a chain's first arc and its last, is one slice reduction too.
 Nestings read the ends alone, as starts rise along the table; crossings
 also need the type-B join rule, `_joined`.  The two involutions map arc
 tables to arc tables that keep every start, and so the start order.
-Both read the arcs in closing order from `_closing_order`, with each
-closer's row width, the arcs joined by then.  The pair involution is the
-rank-mirror scan of `involution`, one closer per row at each of n steps;
-each step is a few int8 reductions over the (n, P) rows of the table.
-The chain involution is the growth-diagram map of `fillings`: Fomin's
-local rules, one cell of the n x n grid at a time, on the labels of that
-cell's corners for every row.
+Both read the arcs in closing order, with each closer's row width (the
+arcs joined by then), as `_closing_order`'s int8 (n, P) rows.  The pair
+involution is the rank-mirror scan of `involution`, one closer per row
+at each of n steps; each step is a few int8 reductions over the (n, P)
+rows of the table.  The chain involution is the growth-diagram map of
+`fillings`: Fomin's local rules, one cell of the n x n grid at a time,
+on the labels of that cell's corners for every row.
 
 The patience sorting and the subset brute-force oracles in `statistics`,
 and the scalar `involution.crossing_nesting_involution` and
@@ -153,10 +153,11 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
 def _closing_order(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arcs of each row of a (P, n, 2) table in the order they close.
 
-    order[:, t] is the index of the arc with the t-th smallest end, ends[:, t]
-    is that end, and width[:, t] counts the arcs that have joined by then.
-    Starts rise along the table, so those are its first width[:, t] arcs;
-    read from the largest end down, the widths are `young_shape`'s rows.
+    Three int8 (n, P) arrays laid out as the rows of `arcs.T`: order[t] is
+    the index of the arc with the t-th smallest end, ends[t] is that end,
+    and width[t] counts the arcs joined by then, the table's first width[t]
+    as starts rise; read from the largest end down, the widths are
+    `young_shape`'s rows.  All fit int8 up to rank 127, the maps' cap.
     """
     S, E = np.ascontiguousarray(arcs.T)
     # end << 8 | arc index: equal ends keep their arcs' order
@@ -164,7 +165,7 @@ def _closing_order(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ends = (keys >> 8).astype(np.int8)
     # one (n, P) comparison per arc, no (n, n, P) array; counts add up in int8
     width = sum(_joined(S[a], ends).view(np.int8) for a in range(len(S)))
-    return (keys & 0xFF).astype(np.intp).T, ends.T, width.astype(np.int64).T
+    return (keys & 0xFF).astype(np.int8), ends, width
 
 
 def _arc_list(arcs: np.ndarray, row: int) -> str:
@@ -176,9 +177,10 @@ def _arc_list(arcs: np.ndarray, row: int) -> str:
 
 def _check_joined(arcs: np.ndarray, error: type[Exception]) -> None:
     """Raise `error` on the first row with an arc not joined by its own end."""
-    lost = ~_joined(arcs[:, :, 0], arcs[:, :, 1])
+    lost = ~_joined(*arcs.T)
     if lost.any():
-        row, a = np.unravel_index(lost.argmax(), lost.shape)
+        row = lost.any(axis=0).argmax()
+        a = lost[:, row].argmax()
         raise error(f"row {_arc_list(arcs, row)}: closer {arcs[row, a, 1]}: "
                     f"partner {arcs[row, a, 0]} is not open")
 
@@ -213,7 +215,6 @@ def pair_involution_batch(arcs: np.ndarray) -> np.ndarray:
     _check_rank(n)
     _check_joined(arcs, Desynchronized)
     order, ends, width = _closing_order(arcs)
-    order, ends, width = order.T.astype(np.int8), ends.T, width.T.astype(np.int8)
     E = arcs.T[1]
     out = arcs.copy(order="K")
     image = out.T[1]
@@ -284,8 +285,8 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
     Each row is encoded as the filling of `fillings.xi`: row r (1 on top)
     stands for the r-th largest closer, column c for arc c of the table,
     and each arc fills its closer's row in its own column.  Read from the
-    last closer back, `_closing_order` gives the rows, the column of each
-    row's 1, and each row's `young_shape` width: the arcs joined by then.
+    last closer back, `_closing_order`'s (n, P) rows give each row's closer,
+    the column of its 1 and its `young_shape` width, the arcs joined by then.
     The labels of all (n+1)^2 corners of the n x n grid, with n+1 parts
     each, grow by Fomin's forward rules; cells outside a row's shape hold
     no 1, so the labels on and inside the shape are the filling's own.
@@ -302,21 +303,20 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
     _check_rank(n)
     _check_joined(arcs, InconsistentGrowth)
     order, ends, width = _closing_order(arcs)
-    # row r + 1 closes at closers[:, r], its width is width[:, r], and its
-    # 1 sits in column[:, r]
-    closers, width, column = ends[:, ::-1], width[:, ::-1], order[:, ::-1] + 1
+    # row r + 1 closes at closers[r], has width[r] and its 1 in column[r]
+    closers, width, column = ends[::-1], width[::-1], order[::-1] + 1
     labels = np.zeros((n + 1, n + 1, n + 1, p), dtype=np.int8)
     for r in range(1, n + 1):
         for c in range(1, n + 1):
             labels[r, c] = _forward_rule(labels[r - 1, c - 1], labels[r - 1, c],
-                                         labels[r, c - 1], column[:, r - 1] == c)
+                                         labels[r, c - 1], column[r - 1] == c)
     labels[n] = _conjugate(labels[n])
     out = arcs.copy(order="K")
-    out[:, :, 1] = 0                  # an image arc ends at 0 until it closes
+    out.T[1] = 0                      # an image arc ends at 0 until it closes
     for r in range(n - 1, -1, -1):
         labels[r] = _conjugate(labels[r])
         for c in range(n - 1, -1, -1):
-            border = c >= width[:, r]
+            border = c >= width[r]
             rho, mu, nu = labels[r + 1, c + 1], labels[r, c + 1], labels[r + 1, c]
             lam, filled, covered = _backward_rule(rho, mu, nu)
             broken = ~border & ~covered
@@ -327,7 +327,7 @@ def theta_batch(arcs: np.ndarray) -> np.ndarray:
                     f"{_partition(rho[:, row])} cannot sit below {_partition(mu[:, row])} "
                     f"and right of {_partition(nu[:, row])}")
             np.copyto(labels[r, c], lam, where=~border)
-            np.copyto(out[:, c, 1], closers[:, r], where=~border & filled)
+            np.copyto(out.T[1, c], closers[r], where=~border & filled)
     edges = labels[0].any(axis=(0, 1)) | labels[:, 0].any(axis=(0, 1))
     if edges.any():
         row = edges.argmax()

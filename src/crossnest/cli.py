@@ -5,10 +5,11 @@ enumerate.  JSON is the machine interface, plain text is for reading,
 CSV exists only for distribution tables.  Every subcommand writes to
 stdout or to the file named by `--out`; `stats`, `involute`, `theta`
 and `distribution` write their payload as JSON under `--json` and as
-text (CSV for `distribution`) otherwise.  Each claim of `verify` is one
-entry of `VERIFIERS`.  Exit codes: 0 success, 1 a verification ran and
-failed (the report is still written), 2 bad usage or bad input, 3 an
-internal transformation error.
+text (CSV for `distribution`) otherwise, but a filling has only its
+text form, so `theta --from-filling` refuses `--json`.  Each claim of
+`verify` is one entry of `VERIFIERS`.  Exit codes: 0 success, 1 a
+verification ran and failed (the report is still written), 2 bad usage
+or bad input, 3 an internal transformation error.
 """
 
 from __future__ import annotations
@@ -129,6 +130,9 @@ def cmd_fill(args) -> int:
 def cmd_theta(args) -> int:
     if bool(args.perm) == bool(args.from_filling):
         print("error: give either a permutation or --from-filling PATH", file=sys.stderr)
+        return EXIT_USAGE
+    if args.from_filling and args.json:
+        print("error: --from-filling writes a filling as text, not --json", file=sys.stderr)
         return EXIT_USAGE
     if args.from_filling:
         with open(args.from_filling) as fh:

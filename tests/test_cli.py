@@ -157,6 +157,16 @@ class TestFillAndTheta:
             assert out == ""
             assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_theta_from_filling_refuses_json(self, capsys, tmp_path):
+        # a filling has no JSON form, so --json must not fall back to text
+        code, filled, _ = run_cli(capsys, "fill", EX2)
+        src = tmp_path / "filling.txt"
+        src.write_text(filled)
+        code, out, err = run_cli(capsys, "theta", "--from-filling", str(src), "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("text", [
         "2,1\n1,x\n", "2,1\n1,1,1\n",
         "",                       # no shape line

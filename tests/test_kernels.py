@@ -11,6 +11,7 @@ from oracles import argsort_arcs, stat_table
 
 from crossnest import _kernels as K
 from crossnest import (
+    SignedPermutation,
     cro,
     crossing_nesting_involution,
     enumerate_bn,
@@ -98,10 +99,13 @@ def test_one_line_batch_inverts_upper_arcs_batch(n):
 def test_closing_order_reads_each_rows_filling(n):
     # the join rule that both maps share gives xi's filling: read from the
     # largest closer down, the widths are young_shape's rows and the
-    # closing arcs are the columns of the rows' 1s
-    order, ends, width = K._closing_order(K.upper_arcs_batch(signed_values_batch(n)))
-    assert width.shape == ends.shape == order.shape
-    for p, e, w, o in zip(enumerate_bn(n), ends.tolist(), width.tolist(), order.tolist()):
+    # closing arcs are the columns of the rows' 1s; all three are int8
+    # (n, P) rows, laid out like the table's
+    arcs = K.upper_arcs_batch(signed_values_batch(n))
+    order, ends, width = K._closing_order(arcs)
+    assert width.shape == ends.shape == order.shape == arcs.shape[1::-1]
+    assert width.dtype == ends.dtype == order.dtype == np.int8
+    for p, e, w, o in zip(enumerate_bn(n), ends.T.tolist(), width.T.tolist(), order.T.tolist()):
         d = upper_diagram(p)
         shape, _, closers = young_shape(d)
         assert w[::-1] == list(shape)
@@ -129,11 +133,11 @@ def test_closing_order_matches_stable_argsort(n):
     arcs[:, :, 1] = rng.integers(-2, 2, size=(513, n), endpoint=True)
     order, ends, width = K._closing_order(arcs)
     want = np.argsort(arcs[:, :, 1], axis=1, kind="stable")
-    assert order.dtype == want.dtype and np.array_equal(order, want)
+    assert order.dtype == np.int8 and np.array_equal(order.T, want)
     assert ends.dtype == np.int8
-    assert np.array_equal(ends, np.take_along_axis(arcs[:, :, 1], want, axis=1))
-    joined = K._joined(arcs[:, None, :, 0], ends[:, :, None])
-    assert width.dtype == np.int64 and np.array_equal(width, joined.sum(axis=2))
+    assert np.array_equal(ends.T, np.take_along_axis(arcs[:, :, 1], want, axis=1))
+    joined = K._joined(arcs[:, None, :, 0], ends.T[:, :, None])
+    assert width.dtype == np.int8 and np.array_equal(width.T, joined.sum(axis=2))
 
 
 def test_arc_tables_are_column_major(monkeypatch):
@@ -230,6 +234,20 @@ def test_maps_reject_tables_of_no_signed_permutation(kernel, error, arcs, messag
         kernel(table(*arcs))
 
 
+@pytest.mark.parametrize("kernel,error", [
+    (K.pair_involution_batch, Desynchronized), (K.theta_batch, InconsistentGrowth)])
+def test_maps_name_the_first_broken_row_and_its_first_lost_arc(kernel, error):
+    # rows 1 and 2 are broken; row 1 loses arcs 1 and 2, row 2 only arc 0,
+    # so neither the last lost arc nor the first in arc order is the one named
+    rows = np.array([[(1, 1), (2, 2), (3, 3)],
+                     [(-3, 3), (2, 1), (3, -2)],
+                     [(-1, -1), (2, 2), (3, 3)]], dtype=np.int8)
+    for arcs in (rows, np.asfortranarray(rows)):
+        with pytest.raises(error, match=r"^row \[\(-3,3\), \(2,1\), \(3,-2\)\]: "
+                                        "closer 1: partner 2 is not open$"):
+            kernel(arcs)
+
+
 def test_pair_involution_batch_closes_arc_0_when_no_arc_is_held():
     # closing at -1, two older arcs end later (r = 2) but the image holds
     # only two arcs, so none has rank k - r = 0: the map closes arc 0
@@ -258,6 +276,20 @@ def test_maps_reject_tables_past_rank_127(kernel):
 def test_arc_tables_hold_rank_127():
     values = np.random.default_rng(127).permutation(np.arange(1, 128)) * np.tile([1, -1], 64)[:127]
     assert np.array_equal(K.upper_arcs_batch(values[None]), argsort_arcs(values[None]))
+
+
+def test_pair_involution_batch_holds_rank_127():
+    # the top of the maps' guard: every row's last width is 127 and its arc
+    # indices in closing order run to 126, at the edge of int8
+    rng = np.random.default_rng(127)
+    magnitudes = rng.permuted(np.tile(np.arange(1, 128), (8, 1)), axis=1)
+    values = magnitudes * rng.choice([-1, 1], (8, 127))
+    arcs = K.upper_arcs_batch(values)
+    image = K.pair_involution_batch(arcs)
+    assert K.one_line_batch(image).tolist() == [
+        list(crossing_nesting_involution(SignedPermutation(tuple(p))).values)
+        for p in values.tolist()]
+    assert np.array_equal(K.pair_involution_batch(image), arcs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
