@@ -56,6 +56,16 @@ class Arc(NamedTuple):
         return f"({self.start},{self.end})"
 
 
+def _arc(a) -> Arc:
+    """`a` as an Arc: the one shape check of every arc input; anything but
+    a (start, end) pair raises InconsistentDiagram."""
+    try:
+        start, end = a
+    except (TypeError, ValueError):
+        raise InconsistentDiagram(f"arc {a!r} is not a (start, end) pair") from None
+    return Arc(start, end)
+
+
 @dataclass(frozen=True)
 class SignedPermutation:
     """One-line form (s(1), ..., s(n)); the mirror half is never stored."""
@@ -135,7 +145,7 @@ class UpperDiagram:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 1:
             raise InconsistentDiagram(f"rank {self.n!r} is not an integer >= 1")
-        object.__setattr__(self, "arcs", frozenset(Arc(*a) for a in self.arcs))
+        object.__setattr__(self, "arcs", frozenset(map(_arc, self.arcs)))
         starts: set[int] = set()
         ends: set[int] = set()
         for a in self.arcs:

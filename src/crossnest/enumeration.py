@@ -212,8 +212,7 @@ def _sweep(n: int, schema: tuple[str, ...]) -> np.ndarray:
     for values in _signed_value_blocks(n):
         keys = np.ravel_multi_index(_columns(_kernels.upper_arcs_batch(values), schema), shape)
         # an empty schema gives one scalar key for every row
-        block = np.bincount(np.broadcast_to(keys, len(values)))
-        counts[:len(block)] += block
+        np.add.at(counts, np.broadcast_to(keys, len(values)), 1)
     return counts.reshape(shape)
 
 

@@ -32,8 +32,11 @@ class IndexOutOfRange(CrossNestError, ValueError):
 
 class RankTooLarge(CrossNestError, ValueError):
     """Exhaustive enumeration requested outside the guarded range (a rank
-    outside 1..MAX_ENUM_RANK, or a verifier bound below 1), or a rank
-    past what the int8 array kernels hold."""
+    outside 1..MAX_ENUM_RANK, or a verifier bound below 1), a rank past
+    what the int8 array kernels hold, or a `verify_avoider_symmetry`
+    input that selects nothing to check: desk-shape bounds that are not
+    ints >= 1, or pattern sizes that are not a nonempty tuple or list of
+    distinct ints >= 1."""
 
 
 class UnknownStatistic(CrossNestError, ValueError):

@@ -28,7 +28,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .core import Arc, SignedPermutation, UpperDiagram, _as_diagram, _joined
+from .core import Arc, SignedPermutation, UpperDiagram, _arc, _as_diagram, _joined
 from .errors import InconsistentDiagram, SameArc
 
 
@@ -42,7 +42,8 @@ class PairKind(Enum):
 
 def classify_pair(a: Arc, b: Arc) -> PairKind:
     """Classify two distinct arcs of one diagram; arcs that share a start
-    or an end belong to no diagram and raise InconsistentDiagram.
+    or an end belong to no diagram and raise InconsistentDiagram, as does
+    an argument that is not a (start, end) pair.
 
     Arcs are compared after ordering by start.  The later arc lines up
     with the earlier one unless it has joined by the earlier one's end;
@@ -51,7 +52,7 @@ def classify_pair(a: Arc, b: Arc) -> PairKind:
     """
     if a == b:
         raise SameArc(f"cannot classify arc {a} against itself")
-    first, second = sorted((Arc(*a), Arc(*b)))
+    first, second = sorted((_arc(a), _arc(b)))
     u1, v1 = first
     u2, v2 = second
     if u1 == u2 or v1 == v2:
@@ -92,7 +93,7 @@ def is_crossing_chain(arcs: Iterable[Arc]) -> bool:
     """True when the arcs form a crossing chain: starts strictly
     increasing, ends strictly increasing, and the last arc joined by the
     first end, so that every arc has joined by every end."""
-    chain = sorted(Arc(*a) for a in arcs)
+    chain = sorted(map(_arc, arcs))
     if len(chain) < 2:
         return bool(chain)
     return (all(s1 < s2 and e1 < e2 for (s1, e1), (s2, e2) in zip(chain, chain[1:]))
@@ -102,7 +103,7 @@ def is_crossing_chain(arcs: Iterable[Arc]) -> bool:
 def is_nesting_chain(arcs: Iterable[Arc]) -> bool:
     """True when the arcs nest strictly inside one another; only the
     innermost may degenerate to a loop."""
-    chain = sorted(Arc(*a) for a in arcs)
+    chain = sorted(map(_arc, arcs))
     if len(chain) < 2:
         return bool(chain)
     return (all(s1 < s2 and e1 > e2 for (s1, e1), (s2, e2) in zip(chain, chain[1:]))

@@ -150,6 +150,10 @@ class TestUpperDiagram:
         (1, {Arc(1.0, 1.0)}, r"vertex 1\.0 is not an integer"),
         # max_chain_sizes used to return (1, 1) for this one
         (2, {Arc(True, 2), Arc(-2, -1)}, "vertex True is not an integer"),
+        # these three used to raise an untyped TypeError
+        (2, {(1, 2, 3), (-2, 2)}, r"arc \(1, 2, 3\) is not a \(start, end\) pair"),
+        (2, {(1,), (2, 2)}, r"arc \(1,\) is not a \(start, end\) pair"),
+        (2, {5, 6}, r"arc [56] is not a \(start, end\) pair"),
     ])
     def test_malformed_arcs_rejected(self, n, arcs, message):
         with pytest.raises(InconsistentDiagram, match=message):

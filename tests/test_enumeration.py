@@ -311,6 +311,14 @@ class TestChainSymmetry:
         # every magnitude starts its arc at -m and all but n end one there
         assert enumeration._sweep(n, ("degree",))[-1] == 1
 
+    @pytest.mark.parametrize("n, moved", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 128), (6, 1668)])
+    def test_no_joint_swap_from_rank_five(self, n, moved):
+        # why the package keeps two maps: swapping cro <-> nes and cro* <-> nes*
+        # at once is a symmetry only up to rank 4; `moved` counts the rows that
+        # would have to change cell
+        counts = enumeration._sweep(n, ("cro", "nes", "cro_star", "nes_star"))
+        assert (counts - counts.transpose(1, 0, 3, 2)).clip(0).sum() == moved
+
 
 def class_counts(n_max, key):
     counts = Counter()

@@ -63,6 +63,11 @@ class TestClassifyPair:
         with pytest.raises(InconsistentDiagram, match=re.escape(f"arcs {a} and {b} share")):
             classify_pair(a, b)
 
+    def test_non_pair_arc_rejected(self):
+        # used to raise an untyped TypeError
+        with pytest.raises(InconsistentDiagram, match=r"arc \(3,\) is not a \(start, end\) pair"):
+            classify_pair((1, 2), (3,))
+
     def test_argument_order_irrelevant(self):
         a, b = Arc(-2, 6), Arc(3, 3)
         assert classify_pair(a, b) == classify_pair(b, a)
