@@ -11,11 +11,14 @@ a in every row; the maps' images keep that layout.  `_sort_columns`, a
 sorting network over such rows, is the kernels' one sort.  The pair
 statistics take one step per arc, comparing it with every later arc at
 once: a reduction over a (later arcs, P) slice of the table.  The chain
-statistics are DPs over column pairs whose inner maximum, over the arcs
-between a chain's first arc and its last, is one slice reduction too.
-Nestings read the ends alone, as starts rise along the table; crossings
-also need the type-B join rule, `_joined`.  The two involutions map arc
-tables to arc tables that keep every start, and so the start order.
+statistics take one step per arc too, as the last arc of a chain: each
+step is one reduction over the steps before it, on int8 counters.  For
+crossings it fills one row of an (n, n, P) table, the longest chain
+from every earlier first arc to this last one; for nestings, one (n, P)
+row.  Nestings read the ends alone, as starts rise along the table;
+crossings also need the type-B join rule, `_joined`.  The two
+involutions map arc tables to arc tables that keep every start, and so
+the start order.
 Both read the arcs in closing order, with each closer's row width (the
 arcs joined by then), as `_closing_order`'s int8 (n, P) rows.  The pair
 involution is the rank-mirror scan of `involution`, one closer per row
@@ -119,33 +122,32 @@ def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
 # --- chain statistics: cro_star, nes_star --------------------------------
 
 def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
-    """(P, 2) table of (cro_star, nes_star), by DPs over the arcs.
+    """(P, 2) int64 table of (cro_star, nes_star), by one pass over the
+    arcs as the last arc of a chain.
 
     Crossing: the first arc f of a chain has the smallest end, so every
-    later arc g of it has joined by e_f and ends beyond it.  For each f,
-    run[g] is the longest such chain from f that ends at g, or 0 when g
-    cannot follow f; its last step comes from the best h between them
-    with a smaller end, one maximum over the slice f+1..g-1.
+    later arc g of it has joined by e_f and ends beyond it.  run[g, f] is
+    the longest such chain from f that ends at g, or 0 when g cannot
+    follow f; its last step comes from the best earlier last arc h with a
+    smaller end, so step g sets run[g, f] for every f < g at once from one
+    maximum over the (h, f) slice run[:g, :g].
     Nesting: starts rise with the index and a loop can only be innermost,
     so a nesting chain is a falling run of ends; fall[g], the longest one
     that ends at g, is one more than the longest fall[h], h < g, with a
     larger end, or 1.
+    Both count in int8, which holds a chain of all n arcs up to rank 127;
+    a larger rank raises RankTooLarge.
     """
     S, E = np.ascontiguousarray(arcs.T)
     n, p = S.shape
-    cro_star = np.ones(p, dtype=np.int64)
-    run = np.zeros((n, p), dtype=np.int64)
-    for f in range(n):
-        ef = E[f]
-        for g in range(f + 1, n):
-            eg = E[g]
-            best = (run[f + 1:g] * (E[f + 1:g] < eg)).max(axis=0, initial=1)
-            run[g] = (_joined(S[g], ef) & (eg > ef)) * (best + 1)
-        np.maximum(cro_star, run[f + 1:].max(axis=0, initial=1), out=cro_star)
-    fall = np.ones((n, p), dtype=np.int64)
+    _check_rank(n)
+    run = np.zeros((n, n, p), dtype=np.int8)
+    fall = np.ones((n, p), dtype=np.int8)
     for g in range(1, n):
+        best = (run[:g, :g] * (E[:g] < E[g])[:, None]).max(axis=0, initial=1)
+        run[g, :g] = (_joined(S[g], E[:g]) & (E[g] > E[:g])) * (best + 1)
         fall[g] += (fall[:g] * (E[:g] > E[g])).max(axis=0)
-    return np.stack([cro_star, fall.max(axis=0)], axis=1)
+    return np.stack([run.max(axis=(0, 1), initial=1), fall.max(axis=0)], axis=1, dtype=np.int64)
 
 
 # --- the involutions: arcs in closing order ------------------------------

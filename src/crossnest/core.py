@@ -57,12 +57,16 @@ class Arc(NamedTuple):
 
 
 def _arc(a) -> Arc:
-    """`a` as an Arc: the one shape check of every arc input; anything but
-    a (start, end) pair raises InconsistentDiagram."""
+    """`a` as an Arc: the one shape and vertex type check of every arc
+    input; anything but a (start, end) pair of ints raises
+    InconsistentDiagram."""
     try:
         start, end = a
     except (TypeError, ValueError):
         raise InconsistentDiagram(f"arc {a!r} is not a (start, end) pair") from None
+    for v in (start, end):
+        if not _is_int(v):
+            raise InconsistentDiagram(f"vertex {v!r} is not an integer")
     return Arc(start, end)
 
 
@@ -150,8 +154,6 @@ class UpperDiagram:
         ends: set[int] = set()
         for a in self.arcs:
             for v in a:
-                if not _is_int(v):
-                    raise InconsistentDiagram(f"vertex {v!r} is not an integer")
                 if v == 0 or abs(v) > self.n:
                     raise InconsistentDiagram(f"vertex {v} out of range for n={self.n}")
             if a.start > a.end:

@@ -43,16 +43,17 @@ class PairKind(Enum):
 def classify_pair(a: Arc, b: Arc) -> PairKind:
     """Classify two distinct arcs of one diagram; arcs that share a start
     or an end belong to no diagram and raise InconsistentDiagram, as does
-    an argument that is not a (start, end) pair.
+    an argument that is not a (start, end) pair of ints.
 
     Arcs are compared after ordering by start.  The later arc lines up
     with the earlier one unless it has joined by the earlier one's end;
     then it nests when it ends first (skew over a loop) and crosses when
     it ends beyond (skew on a shared vertex, necessarily positive).
     """
+    a, b = _arc(a), _arc(b)
     if a == b:
         raise SameArc(f"cannot classify arc {a} against itself")
-    first, second = sorted((_arc(a), _arc(b)))
+    first, second = sorted((a, b))
     u1, v1 = first
     u2, v2 = second
     if u1 == u2 or v1 == v2:

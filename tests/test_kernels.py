@@ -77,14 +77,34 @@ def test_chain_stats_match_brute_force(n):
     assert (got == ref[:, 4:]).all()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_chain_stats_match_patience_sorting(n):
-    arcs = K.upper_arcs_batch(signed_values_batch(n))
+def assert_chain_stats_match_patience_sorting(values):
+    arcs = K.upper_arcs_batch(values)
     got = K.chain_stats_batch(arcs)
     assert got.dtype == np.int64 and got.shape == (len(arcs), 2)
     ref = [_chain_sizes(starts, ends)
            for starts, ends in zip(arcs[:, :, 0].tolist(), arcs[:, :, 1].tolist())]
     assert got.tolist() == [list(r) for r in ref]
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chain_stats_match_patience_sorting(n):
+    assert_chain_stats_match_patience_sorting(signed_values_batch(n))
+
+
+@pytest.mark.parametrize("n", [9, 12, 16])
+def test_chain_stats_match_patience_sorting_past_the_guard(n):
+    rng = np.random.default_rng(n)
+    magnitudes = rng.permuted(np.tile(np.arange(1, n + 1), (4096, 1)), axis=1)
+    assert_chain_stats_match_patience_sorting(magnitudes * rng.choice([-1, 1], (4096, n)))
+
+
+def test_chain_stats_hold_rank_127():
+    # s(i) = -(128 - i) draws all 127 arcs as one crossing chain and
+    # s(i) = -i as one nesting chain, so the int8 counters reach their cap
+    i = np.arange(1, 128)
+    got = assert_chain_stats_match_patience_sorting(np.stack([i - 128, -i]))
+    assert got[0, 0] == got[1, 1] == 127
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -259,9 +279,12 @@ def test_pair_involution_batch_closes_arc_0_when_no_arc_is_held():
 
 
 def test_int8_tables_reject_larger_ranks():
-    # cro and nes wrap in int8 past rank 16, arc vertices past rank 127
+    # cro and nes wrap in int8 past rank 16, arc vertices and chain
+    # lengths past rank 127
     with pytest.raises(RankTooLarge, match="rank 17"):
         K.pair_stats_batch(K.upper_arcs_batch(np.arange(1, 18)[None]))
+    with pytest.raises(RankTooLarge, match="rank 128"):
+        K.chain_stats_batch(np.ones((1, 128, 2), dtype=np.int8))
     with pytest.raises(RankTooLarge, match="rank 128"):
         K.upper_arcs_batch(np.arange(1, 129)[None])
 

@@ -54,6 +54,11 @@ class TestClassifyPair:
         with pytest.raises(SameArc):
             classify_pair(Arc(1, 2), Arc(1, 2))
 
+    def test_same_arc_as_list_and_tuple_rejected(self):
+        # used to raise InconsistentDiagram, "share a start or an end"
+        with pytest.raises(SameArc):
+            classify_pair([1, 2], (1, 2))
+
     @pytest.mark.parametrize("a, b", [
         (Arc(1, 3), Arc(2, 3)),
         (Arc(1, 3), Arc(1, 4)),
@@ -67,6 +72,16 @@ class TestClassifyPair:
         # used to raise an untyped TypeError
         with pytest.raises(InconsistentDiagram, match=r"arc \(3,\) is not a \(start, end\) pair"):
             classify_pair((1, 2), (3,))
+
+    @pytest.mark.parametrize("a, b, message", [
+        # used to raise an untyped TypeError
+        (("a", "b"), (1, 2), "vertex 'a' is not an integer"),
+        # used to return ALIGNMENT
+        ((1.5, 2), (3, 4), r"vertex 1\.5 is not an integer"),
+    ], ids=["str", "float"])
+    def test_non_int_vertex_rejected(self, a, b, message):
+        with pytest.raises(InconsistentDiagram, match=message):
+            classify_pair(a, b)
 
     def test_argument_order_irrelevant(self):
         a, b = Arc(-2, 6), Arc(3, 3)
@@ -118,6 +133,16 @@ class TestChainPredicates:
 
     def test_loop_innermost_in_nesting(self):
         assert is_nesting_chain({Arc(-2, 6), Arc(1, 4), Arc(3, 3)})
+
+    @pytest.mark.parametrize("is_chain, arcs, message", [
+        # used to raise an untyped TypeError
+        (is_crossing_chain, [(1, "x"), (2, 3)], "vertex 'x' is not an integer"),
+        # used to return True
+        (is_nesting_chain, [(1.5, 4), (2, 3)], r"vertex 1\.5 is not an integer"),
+    ], ids=["crossing-str", "nesting-float"])
+    def test_non_int_vertex_rejected(self, is_chain, arcs, message):
+        with pytest.raises(InconsistentDiagram, match=message):
+            is_chain(arcs)
 
     def test_pairwise_equals_chain(self):
         # k arcs form a chain exactly when all pairs do, rank <= 4
