@@ -211,7 +211,8 @@ def pair_involution_batch(arcs: np.ndarray) -> np.ndarray:
     closes the (k-r)-th oldest of its k open arcs.  A rank above 127 raises
     RankTooLarge; a row with an arc that has not joined at its own end, or
     whose image's starts or ends are not 1..n in magnitude, raises
-    Desynchronized.
+    Desynchronized.  A broken row may hold no open arc of rank k-r; then
+    none closes, and the arc left open keeps image end 0 for that check.
     """
     n = arcs.shape[1]
     _check_rank(n)
@@ -227,8 +228,6 @@ def pair_involution_batch(arcs: np.ndarray) -> np.ndarray:
         r = ((E > end) & (idx < b)).sum(axis=0, dtype=np.int8)
         held = (idx < width[t]) & (image == 0)
         hit = held & (held.cumsum(axis=0, dtype=np.int8) == held.sum(axis=0, dtype=np.int8) - r)
-        # a broken row with no held arc of that rank closes arc 0
-        hit[0] |= ~hit.any(axis=0)
         np.copyto(image, end, where=hit)
     _check_image(arcs, out, Desynchronized)
     return out

@@ -15,7 +15,6 @@ or bad input, 3 an internal transformation error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
@@ -186,11 +185,11 @@ def cmd_distribution(args) -> int:
 
 def cmd_enumerate(args) -> int:
     # the generated rows are signed permutations by construction, so they
-    # are written without building a SignedPermutation for each
+    # are written without building a SignedPermutation for each; a rank
+    # outside the guard raises as the stream opens, before --out does
     blocks = _signed_value_blocks(args.n)
-    first = next(blocks)   # a rank outside the guard raises before --out opens
     with _output(args.out) as fh:
-        for values in itertools.chain([first], blocks):
+        for values in blocks:
             fh.writelines(f"{_one_line(row)}\n" for row in values)
     return EXIT_OK
 

@@ -19,6 +19,7 @@ checks the other.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -35,6 +36,15 @@ from .errors import (
 def _is_int(v) -> bool:
     """An int that is not a bool: the one integer test of every input guard."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_token(token: str) -> int:
+    """One text token as an int, the one token rule of every text input:
+    surrounding spaces, an optional sign and ASCII digits, else MalformedToken."""
+    token = token.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise MalformedToken(f"token {token!r} is not an integer")
+    return int(token)
 
 
 def _check_vertex(v, n: int) -> None:
@@ -116,14 +126,7 @@ def parse_permutation(text: str) -> SignedPermutation:
         stripped = stripped[1:-1]
     if not stripped:
         raise MalformedToken("empty permutation text")
-    values = []
-    for token in stripped.split(","):
-        token = token.strip()
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise MalformedToken(f"token {token!r} is not an integer") from None
-    return SignedPermutation(tuple(values))
+    return SignedPermutation(tuple(map(_int_token, stripped.split(","))))
 
 
 def vertices(n: int) -> tuple[int, ...]:

@@ -19,9 +19,11 @@ checked in the tests against their scalar references,
 Every counting verifier goes through `_sweep`, which streams the rank in
 blocks of about `BLOCK_ROWS` one-line arrays (whole magnitude
 permutations, each with all 2^n sign masks), so memory stays bounded up
-to `MAX_ENUM_RANK`, and counts them into one int64 array with an axis per
-column (one may be the private 2n-bit `degree` class code); the symmetry
-checks compare it with two axes swapped, and only `distribution` makes a dict.
+to `MAX_ENUM_RANK` (the stream checks the rank as it opens, so `_sweep`
+does not), and counts them into one int64 array with an axis per
+column (one may be the private 2n-bit `degree` class code); the
+symmetry checks compare it with two axes swapped, and only
+`distribution` makes a dict.
 """
 
 from __future__ import annotations
@@ -108,18 +110,18 @@ def signed_values_batch(n: int) -> np.ndarray:
 
 def _signed_value_blocks(n: int) -> Iterator[np.ndarray]:
     """The rows of `signed_values_batch(n)`, in order, in blocks of
-    about `BLOCK_ROWS`."""
+    about `BLOCK_ROWS`; a rank outside the guard raises RankTooLarge
+    on the call, before any block is taken."""
     mags = _magnitudes(n)
     step = max(1, BLOCK_ROWS >> n)
-    for lo in range(0, len(mags), step):
-        yield _signed_rows(mags[lo:lo + step], n)
+    return (_signed_rows(mags[lo:lo + step], n) for lo in range(0, len(mags), step))
 
 
 def enumerate_bn(n: int) -> Iterator[SignedPermutation]:
-    """Each rank-n signed permutation exactly once, deterministic order."""
-    for values in _signed_value_blocks(n):
-        for row in values.tolist():
-            yield SignedPermutation(tuple(row))
+    """Each rank-n signed permutation exactly once, deterministic order;
+    a rank outside the guard raises RankTooLarge on the call."""
+    return (SignedPermutation(tuple(row))
+            for values in _signed_value_blocks(n) for row in values.tolist())
 
 
 def bn_size(n: int) -> int:
@@ -205,11 +207,12 @@ def _columns(arcs: np.ndarray, names: tuple[str, ...]) -> list[np.ndarray]:
 def _sweep(n: int, schema: tuple[str, ...]) -> np.ndarray:
     """Count the rank-n rows by their `_columns` values into an int64 array
     with an axis of length `_stat_radix(n, name)` per column; other values
-    raise ValueError."""
-    _check_rank(n)
+    raise ValueError.  The stream is opened first, so a rank outside the
+    guard raises RankTooLarge before the array is allocated."""
+    blocks = _signed_value_blocks(n)
     shape = tuple(_stat_radix(n, name) for name in schema)
     counts = np.zeros(math.prod(shape), dtype=np.int64)
-    for values in _signed_value_blocks(n):
+    for values in blocks:
         keys = np.ravel_multi_index(_columns(_kernels.upper_arcs_batch(values), schema), shape)
         # an empty schema gives one scalar key for every row
         np.add.at(counts, np.broadcast_to(keys, len(values)), 1)

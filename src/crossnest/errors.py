@@ -14,8 +14,8 @@ class CrossNestError(Exception):
 # --- input validation ---------------------------------------------------
 
 class MalformedToken(CrossNestError, ValueError):
-    """A permutation or filling token is not a signed decimal integer, or
-    a filling cell line does not have exactly two fields."""
+    """A permutation or filling token is not an optional sign and ASCII
+    digits, or a filling cell line does not have exactly two fields."""
 
 
 class ZeroEntry(CrossNestError, ValueError):

@@ -49,6 +49,7 @@ from .core import (
     Arc,
     SignedPermutation,
     UpperDiagram,
+    _int_token,
     _is_int,
     _joined,
     permutation_from_upper,
@@ -283,21 +284,14 @@ def parse_filling_text(text: str) -> YoungFilling:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise CellOutsideShape("empty filling text")
-    shape = _int_fields(lines[0])
+    shape = tuple(map(_int_token, lines[0].split(",")))
     ones = set()
     for ln in lines[1:]:
-        cell = _int_fields(ln)
+        cell = tuple(map(_int_token, ln.split(",")))
         if len(cell) != 2:
             raise MalformedToken(f"cell line {ln!r} is not row,column")
         ones.add(cell)
     return YoungFilling(shape, frozenset(ones))
-
-
-def _int_fields(line: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in line.split(","))
-    except ValueError:
-        raise MalformedToken(f"filling line {line!r} holds a non-integer token") from None
 
 
 # --- exact pattern-avoidance counting ------------------------------------

@@ -72,6 +72,14 @@ class TestStats:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("text,token", [
+        ("2,1_0,1,3,4,5,6,7,8,9", "1_0"), ("\u0661,2", "\u0661")])
+    def test_token_outside_ascii_digits_is_usage_error(self, capsys, text, token):
+        # int() alone reads these as a rank-10 permutation and as (1, 2)
+        code, out, err = run_cli(capsys, "stats", text)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: token {token!r} is not an integer"]
+
     @pytest.mark.parametrize("text", [EX1, EX2])
     def test_json_matches_public_statistics(self, capsys, text):
         p = parse_permutation(text)
@@ -175,6 +183,7 @@ class TestFillAndTheta:
         "2,1\n1,1\n2,2\n",        # a cell outside the shape
         "2,2\n1,1\n2,1\n",        # two 1s in one column
         "2,2\n1,1\n",             # a row with no 1
+        "2,1\n1,1_0\n",           # a token that is not ASCII digits
     ])
     def test_theta_malformed_filling_is_usage_error(self, capsys, tmp_path, text):
         src = tmp_path / "bad.txt"

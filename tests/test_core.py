@@ -51,14 +51,19 @@ class TestParsing:
 
     def test_parens_and_whitespace(self):
         assert parse_permutation(" (4, -6, 3, 5, 1, -2) ").values == EX1_VALUES
+        assert parse_permutation(" +1 , -2 ").values == (1, -2)
+        assert parse_permutation("\t+2,\t-1 ").values == (2, -1)
 
     def test_duplicate_magnitude(self):
         with pytest.raises(RankViolation):
             parse_permutation("2,2")
 
     def test_non_integer_token(self):
-        with pytest.raises(MalformedToken):
-            parse_permutation("1,x,3")
+        # int() reads "1_0" as 10 and non-ASCII digits as digits, so int()
+        # alone would read a rank-10 permutation and (1, 2) here
+        for text in ("1,x,3", "2,1_0,1,3,4,5,6,7,8,9", "\u0661,2", "\uff11,2"):
+            with pytest.raises(MalformedToken, match="is not an integer"):
+                parse_permutation(text)
 
     def test_zero_entry(self):
         with pytest.raises(ZeroEntry):

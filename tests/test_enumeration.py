@@ -81,6 +81,22 @@ class TestEnumeration:
         with pytest.raises(RankTooLarge):
             list(enumerate_bn(0))
 
+    def test_stream_checks_the_rank_on_the_call(self):
+        # before any block is taken, so callers need no guard of their own
+        for n in (0, 9):
+            with pytest.raises(RankTooLarge):
+                enumeration._signed_value_blocks(n)
+            with pytest.raises(RankTooLarge):
+                enumerate_bn(n)
+
+    def test_sweep_checks_the_rank_before_it_allocates(self, monkeypatch):
+        # the degree code's axis alone would hold 2^39 cells at rank 20
+        def refuse(*args, **kwargs):
+            raise AssertionError("count array allocated")
+        monkeypatch.setattr(enumeration.np, "zeros", refuse)
+        with pytest.raises(RankTooLarge):
+            enumeration._sweep(20, ("degree",))
+
     def test_streams_without_the_whole_table(self, small_blocks):
         perms = list(enumerate_bn(4))
         assert small_blocks == [2] * 12

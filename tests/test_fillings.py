@@ -344,6 +344,13 @@ class TestFillingText:
         "2,x\n1,1\n",     # the same in the shape line
         "2,1\n1,1,1\n",   # a cell line with three fields
         "2,1\n1\n",       # a cell line with one field
+        # int() reads "1_0" as 10 and non-ASCII digits as digits
+        "1_0\n1,1\n",            # shape (10,) in the shape line
+        "\u0661,1\n1,1\n2,1\n",  # an Arabic-Indic 1 in the shape line
+        "\uff12,1\n1,1\n2,1\n",  # a fullwidth 2 in the shape line
+        "2,1\n1,1_0\n",          # cell (1, 10) in a cell line
+        "2,1\n1,2\n\u0662,1\n",  # an Arabic-Indic 2 in a cell line
+        "2,1\n\uff11,2\n2,1\n",  # a fullwidth 1 in a cell line
     ])
     def test_malformed_text_is_typed(self, text):
         with pytest.raises(MalformedToken):

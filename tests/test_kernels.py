@@ -133,6 +133,42 @@ def test_closing_order_reads_each_rows_filling(n):
         assert sorted(xi(d).ones) == list(enumerate((c + 1 for c in o[::-1]), start=1))
 
 
+def non_aligned_pairs(arcs):
+    """cro + nes of each row of a valid arc table, in int64 at any rank:
+    the arcs a < b in start order where b has joined by a's end, that is
+    starts before it, or at it when it is positive."""
+    S, E = np.ascontiguousarray(arcs.T).astype(np.int64)
+    return sum(((S[a + 1:] < E[a]) | (S[a + 1:] == E[a]) & (E[a] > 0)).sum(axis=0)
+               for a in range(len(S)))
+
+
+def closing_degree(arcs):
+    """The sum over closers t of k_t - 1, where k_t = width[t] - t is the
+    number of arcs open as the t-th closer closes: the total degree of the
+    height DP's [k]_{p,q} factors."""
+    width = K._closing_order(arcs)[2].astype(np.int64)
+    return (width - np.arange(1, len(width) + 1)[:, None]).sum(axis=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_closing_widths_count_crossings_and_nestings(n):
+    # each arc open when a closer closes is crossed or nested by it, once
+    for values in _signed_value_blocks(n):
+        arcs = K.upper_arcs_batch(values)
+        assert np.array_equal(closing_degree(arcs), K.pair_stats_batch(arcs)[:, :2].sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [16, 40, 127])
+def test_closing_widths_count_crossings_and_nestings_on_seeded_rows(n):
+    rng = np.random.default_rng(n)
+    values = rng.permuted(np.tile(np.arange(1, n + 1), (4096, 1)), axis=1)
+    arcs = K.upper_arcs_batch(values * rng.choice([-1, 1], values.shape))
+    want = non_aligned_pairs(arcs)
+    if n <= 16:
+        assert np.array_equal(want, K.pair_stats_batch(arcs)[:, :2].sum(axis=1))
+    assert np.array_equal(closing_degree(arcs), want)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 127])
 def test_sort_columns_matches_np_sort(n):
     # keys from a narrow range repeat within a column; both signs occur
@@ -268,13 +304,14 @@ def test_maps_name_the_first_broken_row_and_its_first_lost_arc(kernel, error):
             kernel(arcs)
 
 
-def test_pair_involution_batch_closes_arc_0_when_no_arc_is_held():
+def test_pair_involution_batch_leaves_an_arc_open_when_no_arc_is_held():
     # closing at -1, two older arcs end later (r = 2) but the image holds
-    # only two arcs, so none has rank k - r = 0: the map closes arc 0
-    # again, and its image end -2 becomes -1
+    # only two arcs, so none has rank k - r = 0: no arc closes there, and
+    # the arc from -3 that stays open keeps image end 0
     with pytest.raises(Desynchronized,
-                       match=r"image \[\(-2,-1\), \(-3,0\), \(1,1\), \(-3,1\)\] "
-                             "is not a signed permutation"):
+                       match=r"^row \[\(-2,1\), \(-3,-2\), \(1,1\), \(-3,-1\)\]: "
+                             r"image \[\(-2,-2\), \(-3,0\), \(1,1\), \(-3,1\)\] "
+                             "is not a signed permutation$"):
         K.pair_involution_batch(table((-2, 1), (-3, -2), (1, 1), (-3, -1)))
 
 
