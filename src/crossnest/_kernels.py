@@ -7,7 +7,9 @@ kernels read one layout, the int8 arc table of `upper_arcs_batch`, shape
 them blocks of about `BLOCK_ROWS` rows, so P stays small whatever the
 rank.  A table is stored column-major: `arcs.T` is a contiguous
 (2, n, P) array, whose row [k, a] holds the start (k = 0) or end of arc
-a in every row; the maps' images keep that layout.  `_sort_columns`, a
+a in every row; the maps' images keep that layout.  The stream's blocks
+and the statistic tables are int8 (P, n) and (P, k) views of contiguous
+(n, P) and (k, P) rows too.  `_sort_columns`, a
 sorting network over such rows, is the kernels' one sort.  The pair
 statistics take one step per arc, comparing it with every later arc at
 once: a reduction over a (later arcs, P) slice of the table.  The chain
@@ -63,8 +65,9 @@ def upper_arcs_batch(values: np.ndarray) -> np.ndarray:
     Magnitude i opens its arc at i when s(i) >= i and at -i otherwise, so
     its arc is sign * (i, s(i)).  Each arc is packed into the int16 key
     start << 8 | end and the keys are sorted column by column; starts are
-    distinct, so the keys sort by start.  A rank above 127, whose vertices
-    int8 cannot hold, raises RankTooLarge.
+    distinct, so the keys sort by start.  The stream's int8 (n, P) rows
+    are read in place.  A rank above 127, whose vertices int8 cannot hold,
+    raises RankTooLarge.
     """
     p, n = np.shape(values)
     _check_rank(n)
@@ -95,13 +98,14 @@ def _joined(starts: np.ndarray, vertex: np.ndarray) -> np.ndarray:
 # --- pair statistics: cro, nes, wex, neg ---------------------------------
 
 def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
-    """(P, 4) int64 table of (cro, nes, wex, neg), one arc at a time.
+    """(P, 4) int8 table of (cro, nes, wex, neg), one arc at a time, a
+    view of contiguous (4, P) rows, one per statistic.
 
     For arcs a < b in start order, b nests in a exactly when it ends
     first, and crosses a when it has joined by a's end and ends beyond it;
     each arc a counts both against all later arcs b in one reduction.
-    cro and nes are counted in int8, which holds the n(n-1)/2 pairs up to
-    rank 16; a larger rank raises RankTooLarge.
+    All four count in int8, which holds the n(n-1)/2 pairs of cro and nes
+    up to rank 16; a larger rank raises RankTooLarge.
     """
     # S[a] is the start of arc a in every row; no copy of a column-major table
     S, E = np.ascontiguousarray(arcs.T)
@@ -114,16 +118,16 @@ def pair_stats_batch(arcs: np.ndarray) -> np.ndarray:
         ea, later_s, later_e = E[a], S[a + 1:], E[a + 1:]
         nes += (later_e < ea).sum(axis=0, dtype=np.int8)
         cro += (_joined(later_s, ea) & (later_e > ea)).sum(axis=0, dtype=np.int8)
-    wex = (S > 0).sum(axis=0, dtype=np.int64)
-    neg = ((S < 0) & (E > 0)).sum(axis=0, dtype=np.int64)
-    return np.stack([cro, nes, wex, neg], axis=1, dtype=np.int64)
+    wex = (S > 0).sum(axis=0, dtype=np.int8)
+    neg = ((S < 0) & (E > 0)).sum(axis=0, dtype=np.int8)
+    return np.stack([cro, nes, wex, neg]).T
 
 
 # --- chain statistics: cro_star, nes_star --------------------------------
 
 def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
-    """(P, 2) int64 table of (cro_star, nes_star), by one pass over the
-    arcs as the last arc of a chain.
+    """(P, 2) int8 table of (cro_star, nes_star), a view of contiguous
+    (2, P) rows, by one pass over the arcs as the last arc of a chain.
 
     Crossing: the first arc f of a chain has the smallest end, so every
     later arc g of it has joined by e_f and ends beyond it.  run[g, f] is
@@ -147,7 +151,7 @@ def chain_stats_batch(arcs: np.ndarray) -> np.ndarray:
         best = (run[:g, :g] * (E[:g] < E[g])[:, None]).max(axis=0, initial=1)
         run[g, :g] = (_joined(S[g], E[:g]) & (E[g] > E[:g])) * (best + 1)
         fall[g] += (fall[:g] * (E[:g] > E[g])).max(axis=0)
-    return np.stack([run.max(axis=(0, 1), initial=1), fall.max(axis=0)], axis=1, dtype=np.int64)
+    return np.stack([run.max(axis=(0, 1), initial=1), fall.max(axis=0)]).T
 
 
 # --- the involutions: arcs in closing order ------------------------------

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 
-from .core import degree_sequence, neg, parse_permutation, upper_diagram, wex
+from .core import _int_token, degree_sequence, neg, parse_permutation, upper_diagram, wex
 from .enumeration import (
     STAT_NAMES,
     VerificationReport,
@@ -34,7 +35,7 @@ from .enumeration import (
     verify_max_crossing_counts,
     verify_pair_symmetry,
 )
-from .errors import CrossNestError, Desynchronized, InconsistentGrowth
+from .errors import CrossNestError, Desynchronized, InconsistentGrowth, MalformedToken
 from .fillings import (
     filling_to_text,
     growth_involution,
@@ -56,8 +57,21 @@ INTERNAL_ERRORS = (Desynchronized, InconsistentGrowth)
 NEGATIVE_FIRST_PERM = re.compile(r"-\d+(\s*,\s*-?\d+)+")
 
 
+@contextmanager
 def _output(out: str | None):
-    return open(out, "w") if out else nullcontext(sys.stdout)
+    """The file named by --out, or stdout.  A reader that closes stdout
+    early, as `| head` does, ends the output quietly, and the command keeps
+    its own exit code."""
+    if out:
+        with open(out, "w") as fh:
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes what stdout still buffers at exit; send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _write(text: str, out: str | None) -> None:
@@ -194,6 +208,14 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _int_option(token: str) -> int:
+    """An integer option, --n, by the one token rule; argparse reports a bad token."""
+    try:
+        return _int_token(token)
+    except MalformedToken as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossnest",
@@ -232,18 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[out], help="run an exhaustive verifier")
     p_verify.add_argument("claim", choices=VERIFIERS)
-    p_verify.add_argument("--n", type=int, default=None)
+    p_verify.add_argument("--n", type=_int_option, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_dist = sub.add_parser("distribution", parents=[json_out],
                             help="joint distribution table, CSV unless --json")
-    p_dist.add_argument("--n", type=int, required=True)
+    p_dist.add_argument("--n", type=_int_option, required=True)
     p_dist.add_argument("--schema", default="nes,cro,wex,neg",
                         help=f"comma list from {','.join(STAT_NAMES)}")
     p_dist.set_defaults(func=cmd_distribution)
 
     p_enum = sub.add_parser("enumerate", parents=[out], help="stream all rank-n permutations")
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=_int_option, required=True)
     p_enum.set_defaults(func=cmd_enumerate)
 
     return parser

@@ -33,7 +33,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from typing import Iterator, Literal
 
 import numpy as np
@@ -46,8 +46,11 @@ from .fillings import _avoiders, border_walks
 MAX_ENUM_RANK = 8
 
 # rows per streamed block; a block holds max(1, BLOCK_ROWS >> n) whole
-# magnitude permutations.  The rank-7 pair sweep took 0.34, 0.13 and 0.11 s
-# at 2^10, 2^12 and 2^14 rows (best of 5, fresh process, 2 cores)
+# magnitude permutations.  On the int8 stream, the rank-7 pair and rank-6
+# chain sweeps took 47 / 6.9, 49 / 7.8 and 48 / 8.5 ms at 2^13, 2^14 and
+# 2^15 rows (best of 22 fresh processes), but 46 / 8.4, 41 / 8.1 and
+# 54 / 9.9 ms interleaved in one process (best of 30); no size won both
+# sweeps both ways, so 2^14 stays (2 cores, shared host)
 BLOCK_ROWS = 2 ** 14
 
 STAT_NAMES = ("nes", "cro", "wex", "neg", "cro_star", "nes_star")
@@ -69,10 +72,14 @@ def _signs(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 def _signed_rows(mags: np.ndarray, n: int) -> np.ndarray:
-    """One-line arrays of the given magnitude permutations, each followed
-    by its 2^n sign masks in binary order."""
-    signs = _signs(np.arange(2 ** n, dtype=np.int64), n)
-    return (mags[:, None, :] * signs[None, :, :]).reshape(-1, n)
+    """One-line arrays of the given int8 magnitude permutations, each
+    followed by its 2^n sign masks in binary order: an int8 (P, n) view
+    of contiguous (n, P) rows, the layout `upper_arcs_batch` reads."""
+    signs = _signs(np.arange(2 ** n), n).astype(np.int8)
+    # a plain product would be laid out (M, 2^n, n), as its inputs' strides say
+    rows = np.empty((n, len(mags), 2 ** n), dtype=np.int8)
+    np.multiply(mags.T[:, :, None], signs.T[:, None, :], out=rows)
+    return rows.reshape(n, -1).T
 
 
 def _stream_index(arcs: np.ndarray) -> np.ndarray:
@@ -93,8 +100,16 @@ def _stream_index(arcs: np.ndarray) -> np.ndarray:
 
 
 def _magnitudes(n: int) -> np.ndarray:
+    """The n! permutations of 1..n in lexicographic order, int8 (n!, n):
+    those of k symbols put each first symbol f before those of k - 1,
+    whose symbols from f up move one higher."""
     _check_rank(n)
-    return np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        first = np.repeat(np.arange(k, dtype=np.int8), len(perms))[:, None]
+        rest = np.tile(perms, (k, 1))
+        perms = np.hstack([first, rest + (rest >= first)])
+    return perms + 1
 
 
 def _stream_rows(n: int, positions: np.ndarray) -> np.ndarray:
@@ -104,7 +119,8 @@ def _stream_rows(n: int, positions: np.ndarray) -> np.ndarray:
 
 def signed_values_batch(n: int) -> np.ndarray:
     """All 2^n * n! one-line arrays, magnitude permutations in
-    lexicographic order outermost, sign masks in binary order inner."""
+    lexicographic order outermost, sign masks in binary order inner; an
+    int8 (P, n) view of contiguous (n, P) rows, as `_signed_rows` lays out."""
     return _signed_rows(_magnitudes(n), n)
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -420,3 +424,35 @@ class TestEnumerate:
         code, _, _ = run_cli(capsys, "enumerate", "--n", "9", "--out", str(target))
         assert code == 2
         assert not target.exists()
+
+    def test_closed_stdout_ends_quietly(self):
+        # `crossnest enumerate --n 7 | head -1`: the reader leaves after one
+        # line of 645,120, so a later write finds the pipe closed
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        with subprocess.Popen([sys.executable, "-m", "crossnest.cli", "enumerate", "--n", "7"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"1,2,3,4,5,6,7\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (0, b"")
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "1",
+                                 "--out", str(tmp_path / "missing" / "b1.txt"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [("verify", "thm24"), ("distribution",), ("enumerate",)],
+                         ids=lambda command: command[0])
+@pytest.mark.parametrize("token", ["0_2", "\u0663", "x", "2.0"])
+def test_rank_token_is_usage_error(capsys, command, token):
+    # int() alone reads 0_2 as 2 and the Arabic-Indic digit three as 3
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--n", token])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == (f"crossnest {command[0]}: error: argument --n: "
+                                    f"token {token!r} is not an integer")

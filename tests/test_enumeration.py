@@ -109,6 +109,19 @@ class TestEnumeration:
         assert all(len(b) <= max(BLOCK_ROWS, 2 ** n) for b in blocks)
         assert (np.concatenate(blocks) == signed_values_batch(n)).all()
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_magnitudes_in_lexicographic_order(self, n):
+        mags = enumeration._magnitudes(n)
+        assert mags.dtype == np.int8
+        assert mags.tolist() == [list(p) for p in permutations(range(1, n + 1))]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_blocks_are_int8_column_rows(self, n):
+        # a plain broadcast product would lay each block out (M, 2^n, n),
+        # and upper_arcs_batch would copy it back into (n, P) rows
+        for values in enumeration._signed_value_blocks(n):
+            assert values.dtype == np.int8 and values.T.flags.c_contiguous
+
 
 class TestStreamIndex:
     @pytest.mark.parametrize("n", range(1, 7))

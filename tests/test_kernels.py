@@ -49,8 +49,9 @@ def test_upper_arcs_batch_matches_argsort_oracle(n):
         arcs = K.upper_arcs_batch(values)
         assert arcs.dtype == np.int8
         assert np.array_equal(arcs, argsort_arcs(values))
-    assert K.pair_stats_batch(arcs).dtype == np.int64
-    assert K.chain_stats_batch(arcs).dtype == np.int64
+    # int8 (P, k) views of contiguous (k, P) rows, the columns `_columns` reads
+    for table in (K.pair_stats_batch(arcs), K.chain_stats_batch(arcs)):
+        assert table.dtype == np.int8 and table.T.flags.c_contiguous
 
 
 def test_int8_counts_hold_the_guard_rank():
@@ -80,7 +81,7 @@ def test_chain_stats_match_brute_force(n):
 def assert_chain_stats_match_patience_sorting(values):
     arcs = K.upper_arcs_batch(values)
     got = K.chain_stats_batch(arcs)
-    assert got.dtype == np.int64 and got.shape == (len(arcs), 2)
+    assert got.dtype == np.int8 and got.shape == (len(arcs), 2)
     ref = [_chain_sizes(starts, ends)
            for starts, ends in zip(arcs[:, :, 0].tolist(), arcs[:, :, 1].tolist())]
     assert got.tolist() == [list(r) for r in ref]
